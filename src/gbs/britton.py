@@ -1,6 +1,10 @@
-"""Decision machinery for factorizations: interval exponents, the position
-coloring, the word problem, and Britton reduction (a direct rewriting oracle
-and a fast reduction through the coloring).
+"""Britton reduction and the word problem for factorizations, plus the
+paper's position colouring.
+
+Production runs on one left-to-right stack pass that contracts ``y v^k Y``
+(beta(y) | k) against the top of the stack.  The interval exponents and the
+colouring are the paper's reduction to the free group, kept as a tested
+cross-check; a direct rewriting oracle double-checks the stack pass.
 
 Edge positions are 1-based: a factorization ``base^k0 y1 v1^k1 ... yn vn^kn``
 has edges 1..n, and interval indices (i, j) with 0 <= i <= j <= n refer to the
@@ -15,10 +19,8 @@ from . import freegroup
 from .arith import ExactRational
 from .freegroup import FWord
 from .graphs import (
-    EdgeLetter,
     GFactorization,
     GbsGraph,
-    Letter,
     VertexPower,
     WordError,
     orientation,
@@ -279,19 +281,6 @@ def color(f: GFactorization) -> tuple[ColorTable, FWord]:
     return table, word
 
 
-def word_problem(f: GFactorization) -> bool:
-    """Whether a closed factorization represents the identity: the total
-    interval exponent is zero and the color word embeds trivially into the
-    rank-2 free group."""
-    if not f.is_closed:
-        raise WordError("word problem needs a closed factorization")
-    pr = PrefixRatios(f)
-    if pr.k_numerator(0, f.n) != 0:
-        return False
-    _, cword = color(f)
-    return freegroup.is_trivial(freegroup.embed_f2(cword))
-
-
 def vertex_group_exponent(f: GFactorization, i: int, j: int) -> Optional[int]:
     """The integer exponent the slice between i and j contracts to when it
     lies in the vertex group at its start, else None."""
@@ -335,77 +324,78 @@ def britton_reduce_naive(f: GFactorization) -> GFactorization:
 
 
 def britton_reduce_fast(f: GFactorization) -> GFactorization:
-    """Britton-reduce through the coloring: freely reduce the color word by
-    cancellation classes and rebuild the factorization from the surviving
-    positions, with the interval exponents between them."""
-    if f.n == 0:
-        return f
-    pr = PrefixRatios(f)
-    _, cword = color(f)
-    survivors = [p + 1 for p in freegroup.reduction_classes(cword).survivors]
-    if not survivors:
-        return GFactorization(f.graph, f.base, pr.k(0, f.n).as_integer(), ())
-    k0 = pr.k(0, survivors[0] - 1).as_integer()
-    steps = []
-    for r, pos in enumerate(survivors):
-        upto = survivors[r + 1] - 1 if r + 1 < len(survivors) else f.n
-        steps.append((f.steps[pos - 1][0], pr.k(pos, upto).as_integer()))
-    return GFactorization(f.graph, f.base, k0, tuple(steps))
+    """Britton-reduce in one left-to-right stack pass: an incoming edge that
+    is the inverse of the top edge, with beta(top) dividing the top's
+    exponent, pops the top and contracts into the exponent below it.  This is
+    the leftmost-first rule of :func:`britton_reduce_naive`, in linear time."""
+    g = f.graph
+    names, exps = [""], [f.k0]  # slot 0 carries k0, as in britton_reduce_naive
+    for name, k in f.steps:
+        top = names[-1]
+        if top and name == g.inverse(top) and exps[-1] % g.beta(top) == 0:
+            names.pop()
+            t = exps.pop() // g.beta(top)
+            exps[-1] += g.alpha(top) * t + k
+        else:
+            names.append(name)
+            exps.append(k)
+    return GFactorization(g, f.base, exps[0], tuple(zip(names[1:], exps[1:])))
+
+
+def word_problem(f: GFactorization) -> bool:
+    """Whether a closed factorization represents the identity: by Britton's
+    lemma, iff it reduces to the empty word with a zero vertex exponent."""
+    if not f.is_closed:
+        raise WordError("word problem needs a closed factorization")
+    h = britton_reduce_fast(f)
+    return h.n == 0 and h.k0 == 0
 
 
 def _rotate_with_conjugator(f: GFactorization, m: int):
-    """Cyclic rotation of a closed factorization by m edges, with the letters
-    of a word z such that the rotation equals ``z f z^-1``."""
-    g = f.graph
-    steps = list(f.steps)
-    n = len(steps)
+    """Cyclic rotation by m edges of a closed factorization with ``k0 == 0``,
+    with the letters of a word z such that the rotation equals ``z f z^-1``."""
     if m == 0:
-        if f.k0 == 0:
-            return f, ()
-        steps[-1] = (steps[-1][0], steps[-1][1] + f.k0)
-        rot = GFactorization(g, f.base, 0, tuple(steps))
-        return rot, (VertexPower(f.base, -f.k0),)
-    tail = steps[m:]
-    tail[-1] = (tail[-1][0], tail[-1][1] + f.k0)
-    base = g.source(steps[m][0])
-    rot = GFactorization(g, base, 0, tuple(tail + steps[:m]))
-    conj: list[Letter] = []
-    for name, k in f.steps[m:]:
-        conj.append(EdgeLetter(name))
-        if k:
-            conj.append(VertexPower(g.target(name), k))
-    return rot, tuple(conj)
-
-
-def _seam_reducible(f: GFactorization) -> bool:
-    """Whether doubling the word creates a new contraction at the seam."""
+        return f, ()
     g = f.graph
-    name, k = f.steps[-1]
-    return f.steps[0][0] == g.inverse(name) and (k + f.k0) % g.beta(name) == 0
+    base = g.source(f.steps[m][0])
+    rot = GFactorization(g, base, 0, f.steps[m:] + f.steps[:m])
+    return rot, GFactorization(g, base, 0, f.steps[m:]).letters()
 
 
 def cyclically_reduce_with_conjugator(f: GFactorization, reducer=britton_reduce_fast):
     """Cyclically Britton-reduce a closed factorization; also return letters
     of a word z with ``result = z f z^-1``.
 
-    Hyperbolic results are normalized to start with an edge letter.  One
-    half-way rotation after reducing suffices: reapplying the reducer to the
-    rotation of a Britton-reduced word yields a cyclically reduced word.
+    After Britton reduction only the seam between the last and the first
+    edge can still contract.  One pass folds ``k0`` into the last exponent,
+    then peels contractible ``y v^k Y`` pairs off both ends, carrying each
+    contracted power into the new last exponent; no other adjacent pair
+    changes, so what is left is cyclically reduced, and hyperbolic results
+    start with an edge letter.  z is the inverse of the carried power
+    followed by the peeled suffix.
     """
     if not f.is_closed:
         raise WordError("cyclic reduction needs a closed factorization")
     h = reducer(f)
-    conj: tuple = ()
-    while h.n:
-        if h.k0 != 0:
-            h, z = _rotate_with_conjugator(h, 0)
-            conj = tuple(z) + conj
-        if not _seam_reducible(h):
+    if not h.n:
+        return h, ()
+    g = f.graph
+    steps = h.steps
+    lo, hi, c = 0, h.n - 1, h.k0  # the word is steps[lo..hi], c added to the last exponent
+    while lo < hi:
+        e = g.edge(steps[hi][0])
+        k = steps[hi][1] + c
+        if steps[lo][0] != e.inv or k % e.beta:
             break
-        rot, z = _rotate_with_conjugator(h, h.n // 2)
-        conj = tuple(z) + conj
-        h = reducer(rot)
-    return h, conj
+        c = e.alpha * (k // e.beta) + steps[lo][1]
+        lo, hi = lo + 1, hi - 1
+    suffix = GFactorization(g, g.target(steps[hi][0]), 0, steps[hi + 1 :]).letters()
+    if lo > hi:
+        return GFactorization(g, e.src, c, ()), suffix
+    base = g.source(steps[lo][0])
+    middle = steps[lo:hi] + ((steps[hi][0], steps[hi][1] + c),)
+    z = ((VertexPower(base, -c),) if c else ()) + suffix
+    return GFactorization(g, base, 0, middle), z
 
 
 def cyclically_reduce(f: GFactorization) -> GFactorization:

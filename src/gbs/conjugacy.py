@@ -31,7 +31,9 @@ from .graphs import (
     VertexPower,
     WordError,
     invert,
+    spanning_tree,
     to_factorization,
+    tree_path,
 )
 
 
@@ -253,8 +255,9 @@ def conj_elliptic(
     the graph's primes must agree, and the exponent vectors must be
     congruent in the derived monoid; a congruence path maps back to an
     edge-letter conjugator."""
-    if k == 0 and ell == 0:
-        return ConjResult(ConjVerdict.CONJUGATE, ())
+    if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
+        path = tree_path(graph, spanning_tree(graph), b, a)
+        return ConjResult(ConjVerdict.CONJUGATE, tuple(EdgeLetter(name) for name in path))
     if k == 0 or ell == 0:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="only 1 is conjugate to 1")
     enc = monoid.gbs_to_monoid(graph)
@@ -306,19 +309,17 @@ def conjugate(
             ConjVerdict.NOT_CONJUGATE, reason="cyclically reduced shapes differ"
         )
 
-    path = _underlying_path(vh)
-    for r in range(wh.n):
-        rot, zr = _rotate_with_conjugator(wh, r)
-        if _underlying_path(rot) != path:
-            continue
-        x = _aligned_power_exponent(vh, rot)
-        if x is None:
-            continue
-        middle = (VertexPower(vh.base, x),) if x else ()
-        witness = zw_inv + invert_letters(zr, graph) + middle + tuple(zv)
-        assert verify_conjugator(witness, v, w)
-        return ConjResult(ConjVerdict.CONJUGATE, witness)
-    return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="no rotation admits a conjugating power")
+    found = conj_hyperbolic(vh, wh)
+    if found is None:
+        return ConjResult(
+            ConjVerdict.NOT_CONJUGATE, reason="no rotation admits a conjugating power"
+        )
+    r, x = found
+    _, zr = _rotate_with_conjugator(wh, r)
+    middle = (VertexPower(vh.base, x),) if x else ()
+    witness = zw_inv + invert_letters(zr, graph) + middle + tuple(zv)
+    assert verify_conjugator(witness, v, w)
+    return ConjResult(ConjVerdict.CONJUGATE, witness)
 
 
 def elliptic_closure(

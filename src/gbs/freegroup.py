@@ -1,10 +1,11 @@
-"""Free-group words and reduction.
+"""Free-group words and reduction, for the paper's colouring construction.
 
 A letter is a pair ``(generator, sign)`` with ``sign`` +1 or -1; the inverse
 of ``(g, s)`` is ``(g, -s)``.  Two reducers are provided: the classic stack
 reducer (the reference), and a reducer that partitions letter positions into
 cancellation classes and keeps one survivor per unbalanced class pair.  Both
-produce the unique freely reduced normal form.
+produce the unique freely reduced normal form.  With the rank-2 embedding
+they cross-check the paper's reduction of the word problem to the free group.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import pytest
 from gbs import gen
 from gbs.arith import PrimeSet, crt_solvable
 from gbs.britton import (
+    PrefixRatios,
     britton_reduce_fast,
     britton_reduce_naive,
     color,
@@ -34,7 +35,13 @@ from gbs.conjugacy import (
     elliptic_closure,
     verify_conjugator,
 )
-from gbs.freegroup import free_reduce_classes, free_reduce_stack, reduction_classes
+from gbs.freegroup import (
+    embed_f2,
+    free_reduce_classes,
+    free_reduce_stack,
+    is_trivial,
+    reduction_classes,
+)
 from gbs.graphs import (
     GFactorization,
     bs_graph,
@@ -93,15 +100,25 @@ def test_criterion_1_worked_example_regression(bs23):
 
 def test_criterion_2_word_problem_oracle_equivalence(wp_corpus):
     t0 = time.perf_counter()
-    agree = 0
+    agree = paper_agree = 0
     for f in wp_corpus:
         naive = britton_reduce_naive(f)
-        if word_problem(f) == (naive.n == 0 and naive.k0 == 0):
+        trivial = naive.n == 0 and naive.k0 == 0
+        if word_problem(f) == trivial:
             agree += 1
+        # the paper's reduction: zero total exponent and a colour word that
+        # is trivial in F2
+        paper = PrefixRatios(f).k_numerator(0, f.n) == 0 and is_trivial(
+            embed_f2(color(f)[1])
+        )
+        if paper == trivial:
+            paper_agree += 1
     elapsed = time.perf_counter() - t0
     assert agree == len(wp_corpus)
+    assert paper_agree == len(wp_corpus)
     assert elapsed < 120.0
-    report(2, f"word problem vs rewriting oracle: {agree}/10000 in {elapsed:.1f}s")
+    report(2, f"word problem and the paper's colouring vs rewriting oracle: "
+              f"{agree}/10000 and {paper_agree}/10000 in {elapsed:.1f}s")
 
 
 def test_criterion_3_britton_reduction_equivalence(wp_corpus):
@@ -313,7 +330,7 @@ def test_criterion_9_scale_and_memory():
     tracemalloc.start()
     t0 = time.perf_counter()
     # n = 1000 with 256-bit exponents: a random word and a trivial product
-    # (the trivial one forces the full coloring path)
+    # (the trivial one contracts all the way down)
     u = random_big(500, 256)
     f = concat(u, invert(u))
     assert f.n == 1000

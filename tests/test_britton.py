@@ -18,7 +18,15 @@ from gbs.britton import (
     vertex_group_exponent,
     word_problem,
 )
-from gbs.graphs import WordError, concat, invert, to_factorization
+from gbs.conjugacy import verify_conjugator
+from gbs.graphs import (
+    GFactorization,
+    WordError,
+    concat,
+    invert,
+    parse_graph,
+    to_factorization,
+)
 from conftest import fact
 
 
@@ -213,11 +221,51 @@ def test_reductions_agree_on_random_corpus():
         f = gen.random_closed_factorization(rng, g)
         naive = britton_reduce_naive(f)
         fast = britton_reduce_fast(f)
+        assert fast == naive
         assert is_britton_reduced(fast)
         assert word_problem(concat(fast, invert(naive)))
         assert word_problem(f) == (naive.n == 0 and naive.k0 == 0)
         assert fast.n <= f.n
         assert _bits(fast) <= 8 * _bits(f) + 16
+
+
+def _long_words():
+    """(factorization, whether it is trivial, expected cyclic reduction or
+    None) at sizes where a quadratic reducer shows."""
+    rng = random.Random(53)
+    bs11 = parse_graph("bs 1 1")
+    bs23 = parse_graph("bs 2 3")
+    adversarial = GFactorization(bs11, "a", 0, (("y", 0), ("Y", 0)) * 2_000)
+    u = GFactorization(
+        bs23,
+        "a",
+        rng.getrandbits(256),
+        tuple(
+            (rng.choice("yY"), rng.choice((1, -1)) * rng.getrandbits(256))
+            for _ in range(4_000)
+        ),
+    )
+    m = 2_000
+    nested = GFactorization(bs23, "a", 0, (("y", 0),) * (m - 1) + (("y", 1),) + (("Y", 0),) * m)
+    return [
+        pytest.param(adversarial, True, None, id="adversarial-yY-bs11-n4000"),
+        pytest.param(concat(u, invert(u)), True, None, id="trivial-uU-bs23-256bit-n8000"),
+        pytest.param(
+            nested, False, GFactorization(bs23, "a", 1, ()), id="cyclic-ymaYm-bs23-m2000"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("f, trivial, cyclic", _long_words())
+def test_stack_reducer_on_long_words(f, trivial, cyclic):
+    naive = britton_reduce_naive(f)
+    assert britton_reduce_fast(f) == naive
+    assert (naive.n == 0 and naive.k0 == 0) is trivial
+    assert word_problem(f) is trivial
+    if cyclic is not None:
+        out, z = cyclically_reduce_with_conjugator(f)
+        assert out == cyclic
+        assert verify_conjugator(z, f, out)
 
 
 def test_cyclically_reduce_examples(bs23):

@@ -75,6 +75,48 @@ def test_conj_yes_with_witness(capsys, bs_path):
     assert lines[0] == "conjugate" and lines[1] == "y"
 
 
+FOUR_VERTICES = """\
+vertex a
+vertex b
+vertex c
+vertex d
+edge y0 a b -4 3 Y0
+edge Y0 b a 3 -4 y0
+edge y1 b c 2 -4 Y1
+edge Y1 c b -4 2 y1
+edge y2 a d 2 1 Y2
+edge Y2 d a 1 2 y2
+edge y3 c c 2 4 Y3
+edge Y3 c c 4 2 y3
+"""
+
+
+def test_conj_identities_at_different_vertices(capsys, tmp_path):
+    # both words reduce to the identity, one at d and one at c; the witness
+    # must still be a path between the two base vertices
+    from gbs import graphs
+    from gbs.britton import britton_reduce_naive
+    from gbs.conjugacy import invert_letters
+
+    p = tmp_path / "g.graph"
+    p.write_text(FOUR_VERTICES)
+    v = "d^-1 Y2 a^-4 y2 d^3"
+    w = (
+        "c^-4 Y3 c^-1 Y1 b^-2 Y0 a^-4 y2 d^-3 Y2 a^-4 y2 d^5 Y2 a^4 y0 b^2 "
+        "y1 c^1 y3 c^4"
+    )
+    code, out, _ = run(capsys, "conj", "--literal", "--witness", str(p), v, w)
+    assert code == 0
+    verdict, witness = out.strip().splitlines()
+    assert verdict == "conjugate"
+    g = graphs.parse_graph(FOUR_VERTICES)
+    z = graphs.parse_word(witness, g)
+    w_inv = graphs.invert(graphs.to_factorization(graphs.parse_word(w, g), g))
+    replay = z + graphs.parse_word(v, g) + invert_letters(z, g) + w_inv.letters()
+    reduced = britton_reduce_naive(graphs.to_factorization(replay, g))
+    assert reduced.is_closed and reduced.n == 0 and reduced.k0 == 0
+
+
 def test_conj_no(capsys, bs_path):
     code, out, _ = run(capsys, "conj", "--literal", bs_path, "y a", "Y a")
     assert code == 1 and out.strip() == "not-conjugate"
