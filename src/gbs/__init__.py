@@ -8,7 +8,7 @@ commutative-monoid word-problem instances and elliptic conjugacy instances,
 and ships brute-force oracles for cross-checking every fast path.
 """
 
-from .arith import ExactRational, FactoredInt, PrimeSet, crt_solvable, factor_over, valuation
+from .arith import ExactRational, FactoredInt, PrimeSet, factor_over, solve_congruence, valuation
 from .britton import (
     ColorTable,
     PrefixRatios,
@@ -26,7 +26,6 @@ from .britton import (
 from .conjugacy import (
     ConjResult,
     ConjVerdict,
-    HypSystem,
     conj_brute,
     conj_elliptic,
     conj_elliptic_bs,

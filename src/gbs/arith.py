@@ -1,5 +1,5 @@
 """Exact arithmetic support: unreduced rationals, factorization over a fixed
-prime set (with -1 as a formal sign prime), and simultaneous congruences.
+prime set (with -1 as a formal sign prime), and a linear congruence solver.
 
 Integers are plain Python ``int`` throughout; they are arbitrary precision,
 carry a canonical zero, and round-trip through decimal text.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 # Unreduced fractions are normalized lazily once either component grows past
 # this many bits; equality and arithmetic never require it.
@@ -264,57 +264,14 @@ def factor_over(k: int, primes: PrimeSet) -> FactoredInt:
     return FactoredInt(residual, tuple(exps), primes)
 
 
-def _prime_valuations(congruences: Sequence[tuple[int, int]], primes: PrimeSet):
-    """Per real prime, the list of (valuation of the modulus, residue).
-    Rejects moduli with a prime factor outside the set."""
-    real = primes.real_primes
-    table: dict[int, list[tuple[int, int]]] = {p: [] for p in real}
-    for c, d in congruences:
-        if d == 0:
-            raise ArithError("zero modulus")
-        rest = abs(d)
-        for p in real:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            table[p].append((e, c))
-        if rest != 1:
-            raise ArithError(f"modulus {d} has a prime factor outside the set")
-    return table
-
-
-def crt_solvable(congruences: Sequence[tuple[int, int]], primes: PrimeSet) -> bool:
-    """Whether ``x = c_i mod d_i`` has a simultaneous integer solution.
-
-    Decided prime by prime: for each p, every pair of congruences must agree
-    modulo p to the smaller of the two valuations of their moduli.
-    """
-    table = _prime_valuations(congruences, primes)
-    for p, rows in table.items():
-        for a in range(len(rows)):
-            ea, ca = rows[a]
-            for b in range(a + 1, len(rows)):
-                eb, cb = rows[b]
-                if (ca - cb) % p ** min(ea, eb) != 0:
-                    return False
-    return True
-
-
-def crt_solve(congruences: Sequence[tuple[int, int]], primes: PrimeSet) -> Optional[tuple[int, int]]:
-    """A concrete solution of the system, as ``(x0, modulus)`` with
-    ``0 <= x0 < modulus``, or None when unsolvable."""
-    if not crt_solvable(congruences, primes):
+def solve_congruence(a: int, b: int, m: int) -> Optional[tuple[int, int]]:
+    """All integers s with ``a * s = b (mod m)``, as ``(s0, step)`` for the
+    progression ``s0 + step * t`` with ``0 <= s0 < step``, or None when there
+    are none.  The step divides ``|m|``."""
+    if m == 0:
+        raise ArithError("zero modulus")
+    g = math.gcd(a, m)
+    if b % g:
         return None
-    x, mod = 0, 1
-    table = _prime_valuations(congruences, primes)
-    for p, rows in table.items():
-        e, c = max(rows, default=(0, 0))
-        pe = p ** e
-        if pe == 1:
-            continue
-        # combine x mod `mod` with c mod pe; moduli are coprime
-        t = ((c - x) * pow(mod, -1, pe)) % pe
-        x += mod * t
-        mod *= pe
-    return x % mod, mod
+    step = abs(m) // g
+    return (b // g) * pow(a // g, -1, step) % step, step

@@ -283,13 +283,18 @@ def color(f: GFactorization) -> tuple[ColorTable, FWord]:
 
 def vertex_group_exponent(f: GFactorization, i: int, j: int) -> Optional[int]:
     """The integer exponent the slice between i and j contracts to when it
-    lies in the vertex group at its start, else None."""
+    lies in the vertex group at its start, else None.  By Britton's lemma
+    that is when the slice reduces to a bare vertex power."""
     if not 0 <= i <= j <= f.n:
         raise IndexError(f"interval ({i}, {j}) out of range for n={f.n}")
-    table, _ = color(f)
-    if not freegroup.is_trivial(table.slice_word(i, j)):
-        return None
-    return PrefixRatios(f).k(i, j).as_integer()
+    g = f.graph
+    if i == 0:
+        start, k = f.base, f.k0
+    else:
+        name, k = f.steps[i - 1]
+        start = g.target(name)
+    h = britton_reduce_fast(GFactorization(g, start, k, f.steps[i:j]))
+    return None if h.n else h.k0
 
 
 def is_britton_reduced(f: GFactorization) -> bool:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for yes/success, 1 for no, 2 for undecided, 3 for any input or
-usage error.  Diagnostics go to stderr; reports are deterministic on stdout.
+usage error and for a failed internal self-check (never reported as a "no").
+Diagnostics go to stderr; reports are deterministic on stdout.
 """
 from __future__ import annotations
 
@@ -28,6 +29,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_at_least(lowest: int):
+    """argparse type for bounds, counts and sizes: an integer >= lowest."""
+
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -228,7 +240,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("v")
     p.add_argument("w")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(0), default=None)
     p.add_argument("--witness", action="store_true", help="print a verified conjugator")
     p.set_defaults(func=_cmd_conj)
 
@@ -238,7 +250,7 @@ def _build_parser() -> _Parser:
     m.add_argument("presentation")
     m.add_argument("e")
     m.add_argument("f")
-    m.add_argument("--bound", type=int, default=None)
+    m.add_argument("--bound", type=_int_at_least(0), default=None)
     m.set_defaults(func=_cmd_monoid_congruent)
 
     p = sub.add_parser("convert", help="instance converters")
@@ -251,11 +263,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="seeded oracle cross-check harness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--max-edges", type=int, default=6)
-    p.add_argument("--max-exp", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=14)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--max-vertices", type=_int_at_least(1), default=4)
+    p.add_argument("--max-edges", type=_int_at_least(0), default=6)
+    p.add_argument("--max-exp", type=_int_at_least(0), default=8)
+    p.add_argument("--max-len", type=_int_at_least(0), default=14)
     p.set_defaults(func=_cmd_bench)
 
     return parser

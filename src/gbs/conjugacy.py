@@ -2,12 +2,14 @@
 
 After cyclic Britton reduction a word is either elliptic (a single vertex
 power) or hyperbolic (at least one edge).  Hyperbolic pairs are decided by
-rotating one operand over the other and solving the exact linear system a
-conjugating vertex power must satisfy; with a ratio product of one the system
-degenerates into simultaneous congruences.  Elliptic pairs reduce to a
-commutative-monoid congruence over the graph's primes; a bounded search may
-come back undecided, so the verdict is three-valued.  Every positive answer
-carries a conjugator witness that is verified against the word problem.
+rotating one operand over the other and, for each rotation with the same
+underlying path, walking the loop once with integers to find the conjugating
+vertex power: one linear congruence per edge and one closing equation.
+Elliptic pairs reduce to a commutative-monoid congruence over the graph's
+primes; a bounded search may come back undecided, so the verdict is
+three-valued.  Every positive answer carries a conjugator witness that is
+verified against the word problem; a witness that fails raises
+:class:`InternalError`, never a negative verdict.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .graphs import (
     GbsError,
     GbsGraph,
     GFactorization,
+    InternalError,
     Letter,
     VertexPower,
     WordError,
@@ -83,106 +86,38 @@ def _underlying_path(f: GFactorization) -> tuple[str, ...]:
     return tuple(name for name, _ in f.steps)
 
 
-@dataclass(frozen=True)
-class HypSystem:
-    """The constraint system a conjugating vertex power must satisfy for two
-    aligned hyperbolic words.
-
-    When the ratio product around the loop differs from one, ``x`` holds the
-    unique rational candidate and ``xs`` the per-edge values it forces; the
-    pair is conjugate iff all of them are integers.  With ratio product one,
-    ``closing`` must vanish and ``x`` is constrained by ``congruences``
-    (pairs c_i, d_i for z = modulus * x); the moduli and the modulus are
-    products of edge labels, so they factor over the graph's primes.
-    """
-
-    closing: arith.ExactRational
-    x: Optional[arith.ExactRational] = None
-    xs: tuple = ()
-    modulus: Optional[int] = None
-    congruences: tuple = ()
-
-
-def hyperbolic_system(v: GFactorization, w: GFactorization) -> HypSystem:
-    """Build the conjugating-power constraints for two cyclically reduced
-    hyperbolic factorizations over the same underlying path."""
-    g = v.graph
-    n = v.n
-    ks = [k for _, k in v.steps]
-    ls = [k for _, k in w.steps]
-    alpha = [g.alpha(name) for name, _ in v.steps]
-    beta = [g.beta(name) for name, _ in v.steps]
-
-    # prefix products over edges 1..i (index 0 = empty product)
-    pa = [1] * (n + 1)
-    pb = [1] * (n + 1)
-    for i in range(1, n + 1):
-        pa[i] = pa[i - 1] * alpha[i - 1]
-        pb[i] = pb[i - 1] * beta[i - 1]
-    # suffix beta products over edges nu+1..n
-    sb = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        sb[i] = sb[i + 1] * beta[i]
-    # sum over nu of (k - l) * prod_{mu > nu} beta/alpha, over denominator pa[n]
-    s_num = sum((ks[nu] - ls[nu]) * sb[nu + 1] * pa[nu + 1] for nu in range(n))
-
-    def chain(x: arith.ExactRational) -> tuple:
-        xs = [x / alpha[0]]
-        for i in range(n - 1):
-            xs.append((xs[-1] * beta[i] + (ks[i] - ls[i])) / alpha[i + 1])
-        return tuple(xs)
-
-    if pa[n] != pb[n]:
-        x = arith.ExactRational(s_num, pa[n] - pb[n])
-        return HypSystem(arith.ExactRational(0), x=x, xs=chain(x))
-
-    closing = arith.ExactRational(s_num, pa[n])
-    if not closing.is_zero():
-        return HypSystem(closing)
-    # every x solves the closing equation; the per-edge integrality
-    # constraints become congruences z = c_i mod d_i for z = modulus * x
-    big_m = 1
-    for i in range(1, n + 1):
-        big_m *= pb[i - 1]
-    congruences = [(0, big_m)]
-    for i in range(1, n + 1):
-        scale = big_m // pb[i - 1]
-        inner = sum(
-            (ks[nu] - ls[nu]) * pa[nu + 1] * (pb[i - 1] // pb[nu + 1])
-            for nu in range(i - 1)
-        )
-        congruences.append((-scale * inner, scale * alpha[i - 1] * pa[i - 1]))
-    return HypSystem(closing, modulus=big_m, congruences=tuple(congruences))
-
-
-def _aligned_power_exponent(v: GFactorization, w: GFactorization) -> Optional[int]:
+def hyperbolic_system(v: GFactorization, w: GFactorization) -> Optional[int]:
     """The integer x with ``base^x v base^-x = w`` for two cyclically reduced
     hyperbolic factorizations over the same underlying path, or None.
 
-    Matching the two words through Britton moves forces one linear equation
-    per edge; :func:`hyperbolic_system` eliminates them into either a unique
-    rational candidate for x or a set of simultaneous congruences.
+    Matching the two words through Britton moves forces one condition per
+    edge: walking the loop backwards, the carried power ``cur`` must be
+    divisible by the edge's beta before it crosses to alpha * cur / beta, and
+    after the last edge ``x + cur`` must vanish.  The walk keeps x and cur
+    affine in one unknown s, ``x = c + m*s`` and ``cur = p + q*s``; each
+    divisibility restricts s to a progression, and the closing equation
+    ``(m + q) s = -(c + p)`` has one solution, every s (ratio product one)
+    or none.  m divides the product of the betas, so every number stays
+    linear in the input size.
     """
-    system = hyperbolic_system(v, w)
-    if not system.closing.is_zero():
-        return None
-    if system.x is not None:
-        if system.x.is_integer() and all(xi.is_integer() for xi in system.xs):
-            return system.x.as_integer()
-        return None
-    sol = arith.crt_solve(system.congruences, v.graph.prime_set())
-    if sol is None:
-        return None
-    z, _ = sol
-    assert z % system.modulus == 0
-    x = z // system.modulus
-    check = (
-        (VertexPower(v.base, x),) if x else ()
-    ) + v.letters() + (
-        (VertexPower(v.base, -x),) if x else ()
-    ) + invert(w).letters()
-    assert word_problem(to_factorization(check, v.graph))
-    return x
+    g = v.graph
+    c, m = 0, 1
+    p, q = v.steps[-1][1] - w.steps[-1][1], -1
+    for i in range(v.n - 1, -1, -1):
+        e = g.edge(v.steps[i][0])
+        sol = arith.solve_congruence(q, -p, e.beta)
+        if sol is None:
+            return None
+        s0, step = sol
+        c, m = c + m * s0, m * step
+        p, q = p + q * s0, q * step
+        p, q = e.alpha * (p // e.beta), e.alpha * (q // e.beta)
+        if i:
+            p += v.steps[i - 1][1] - w.steps[i - 1][1]
+    if m + q == 0:
+        return c if c + p == 0 else None
+    s, rem = divmod(-(c + p), m + q)
+    return None if rem else c + m * s
 
 
 def conj_hyperbolic(
@@ -197,12 +132,12 @@ def conj_hyperbolic(
             raise WordError("expected a cyclically reduced hyperbolic word")
     if v.n != w.n:
         return None
-    path = _underlying_path(v)
+    path, wpath = _underlying_path(v), _underlying_path(w)
     for r in range(w.n):
-        rot, _ = _rotate_with_conjugator(w, r)
-        if _underlying_path(rot) != path:
+        if wpath[r:] + wpath[:r] != path:
             continue
-        x = _aligned_power_exponent(v, rot)
+        rot, _ = _rotate_with_conjugator(w, r)
+        x = hyperbolic_system(v, rot)
         if x is not None:
             return r, x
     return None
@@ -273,7 +208,8 @@ def conj_elliptic(
     witness = enc.witness_letters(res.path)
     va = GFactorization(graph, a, k, ())
     wb = GFactorization(graph, b, ell, ())
-    assert verify_conjugator(witness, va, wb)
+    if not verify_conjugator(witness, va, wb):
+        raise InternalError("elliptic conjugator failed verification")
     return ConjResult(ConjVerdict.CONJUGATE, witness)
 
 
@@ -301,7 +237,8 @@ def conjugate(
         if res.verdict is not ConjVerdict.CONJUGATE:
             return res
         witness = zw_inv + res.witness + tuple(zv)
-        assert verify_conjugator(witness, v, w)
+        if not verify_conjugator(witness, v, w):
+            raise InternalError("elliptic conjugator failed verification")
         return ConjResult(ConjVerdict.CONJUGATE, witness)
 
     if vh.n != wh.n or vh.n == 0 or wh.n == 0:
@@ -318,7 +255,8 @@ def conjugate(
     _, zr = _rotate_with_conjugator(wh, r)
     middle = (VertexPower(vh.base, x),) if x else ()
     witness = zw_inv + invert_letters(zr, graph) + middle + tuple(zv)
-    assert verify_conjugator(witness, v, w)
+    if not verify_conjugator(witness, v, w):
+        raise InternalError("hyperbolic conjugator failed verification")
     return ConjResult(ConjVerdict.CONJUGATE, witness)
 
 

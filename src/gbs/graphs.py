@@ -27,6 +27,11 @@ class WordError(GbsError):
     pass
 
 
+class InternalError(GbsError):
+    """A self-check failed: a computed witness did not verify.  Never a
+    verdict; the CLI reports it as an error."""
+
+
 @dataclass(frozen=True)
 class Edge:
     name: str

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import arith
-from .graphs import EdgeLetter, GbsGraph, GbsError, Letter, orientation, validate
+from .graphs import EdgeLetter, GbsGraph, GbsError, InternalError, Letter, orientation, validate
 
 ExpVec = tuple  # tuple[int, ...]
 
@@ -197,7 +197,8 @@ def congruent(
         path = tuple(forward) + tuple(
             (idx, -direction) for idx, direction in reversed(backward)
         )
-        assert replay_path(e, path, pres) == f
+        if replay_path(e, path, pres) != f:
+            raise InternalError("congruence path failed to replay")
         return CongResult(Verdict.CONGRUENT, path)
     if complete[0] or complete[1]:
         return CongResult(Verdict.NOT_CONGRUENT, reason="closure exhausted")
@@ -217,6 +218,8 @@ def parse_presentation(text: str) -> MonPresentation:
         if toks[0] == "dim":
             if dim is not None or len(toks) != 2:
                 raise GbsError(f"line {lineno}: bad dim line")
+            if not toks[1].isdecimal():
+                raise GbsError(f"line {lineno}: dim must be a natural number")
             dim = int(toks[1])
         elif toks[0] == "rel":
             if len(toks) != 4 or toks[2] != "~":

@@ -5,7 +5,6 @@ report.  The corpora are seeded and sized as stated in each test; the suite
 is self-contained and compares every fast path against an independent
 brute-force oracle.
 """
-import math
 import random
 import time
 import tracemalloc
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from gbs import gen
-from gbs.arith import PrimeSet, crt_solvable
+from gbs.arith import solve_congruence
 from gbs.britton import (
     PrefixRatios,
     britton_reduce_fast,
@@ -222,43 +221,37 @@ def test_criterion_6_elliptic_bs_cross_check():
     report(6, f"elliptic one-loop formula vs chain search: {total} instances agree")
 
 
-def _brute_crt(congs):
-    lcm = 1
-    for _, d in congs:
-        lcm = lcm * abs(d) // math.gcd(lcm, abs(d))
-    xs = np.arange(lcm, dtype=np.int64)
-    ok = np.ones(lcm, dtype=bool)
-    for c, d in congs:
-        ok &= (xs - c) % abs(d) == 0
-        if not ok.any():
-            return False
-    return bool(ok.any())
+def _scan_solutions(a, b, d):
+    xs = np.arange(abs(d), dtype=np.int64)
+    return np.flatnonzero((a * xs - b) % abs(d) == 0).tolist()
 
 
 def test_criterion_7_crt_solver():
     rng = random.Random(0xC47)
-    primes = PrimeSet((2, 3, 5))
-    agree = 0
+    agree = solvable = 0
     for i in range(5000):
         caps = (6, 4, 3) if i % 16 == 0 else (4, 3, 2)
-        congs = []
-        for _ in range(rng.randint(1, 6)):
-            d = (
-                2 ** rng.randint(0, caps[0])
-                * 3 ** rng.randint(0, caps[1])
-                * 5 ** rng.randint(0, caps[2])
-            )
-            if rng.random() < 0.5:
-                d = -d
-            congs.append((rng.randint(-10**6, 10**6), d))
-        lcm = 1
-        for _, d in congs:
-            lcm = lcm * abs(d) // math.gcd(lcm, abs(d))
-        assert lcm <= 10**6
-        if crt_solvable(congs, primes) == _brute_crt(congs):
-            agree += 1
+        d = (
+            2 ** rng.randint(0, caps[0])
+            * 3 ** rng.randint(0, caps[1])
+            * 5 ** rng.randint(0, caps[2])
+        )
+        if rng.random() < 0.5:
+            d = -d
+        a = 0 if i % 50 == 0 else rng.randint(-10**6, 10**6)
+        b = rng.randint(-10**6, 10**6)
+        scanned = _scan_solutions(a, b, d)
+        sol = solve_congruence(a, b, d)
+        if sol is None:
+            agree += scanned == []
+        else:
+            s0, step = sol
+            solvable += 1
+            agree += list(range(s0, abs(d), step)) == scanned
     assert agree == 5000
-    report(7, f"congruence solvability vs residue scan: {agree}/5000")
+    assert 1000 < solvable < 4500
+    report(7, f"linear congruence solver vs residue scan: {agree}/5000 "
+              f"({solvable} solvable)")
 
 
 def _random_small_presentation(rng, dim):

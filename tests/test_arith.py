@@ -10,12 +10,11 @@ from gbs.arith import (
     ExactRational,
     FactoredInt,
     PrimeSet,
-    crt_solvable,
-    crt_solve,
     factor_over,
     first_primes,
     is_prime,
     prime_factors,
+    solve_congruence,
     valuation,
 )
 
@@ -73,56 +72,73 @@ def test_prime_helpers():
     assert is_prime(97) and not is_prime(91)
 
 
-def test_crt_examples():
-    assert crt_solvable([(1, 2), (2, 3)], P23) is True
-    assert crt_solvable([(1, 4), (3, 8)], PrimeSet((2,))) is False
-    assert crt_solvable([(5, 1)], P23) is True
+def _brute_solutions(a, b, m):
+    return [s for s in range(abs(m)) if (a * s - b) % m == 0]
 
 
-def test_crt_rejects_foreign_modulus():
+def _progression(sol, m):
+    s0, step = sol
+    return list(range(s0, abs(m), step))
+
+
+def test_solve_congruence_examples():
+    assert solve_congruence(3, 1, 7) == (5, 7)
+    assert solve_congruence(4, 2, 6) == (2, 3)
+    assert solve_congruence(4, 1, 6) is None
+    assert solve_congruence(6, 9, 4) is None
+
+
+def test_solve_congruence_edge_cases():
+    # a = 0: everything or nothing
+    assert solve_congruence(0, 0, 5) == (0, 1)
+    assert solve_congruence(0, 10, 5) == (0, 1)
+    assert solve_congruence(0, 3, 5) is None
+    # b = 0: the multiples of |m| / gcd(a, m)
+    assert solve_congruence(4, 0, 6) == (0, 3)
+    # |m| = 1: every integer
+    assert solve_congruence(7, 5, 1) == (0, 1)
+    assert solve_congruence(7, 5, -1) == (0, 1)
+    # negative a and m
+    assert solve_congruence(-3, 2, -7) == (4, 7)
+    assert solve_congruence(-4, -2, -6) == (2, 3)
     with pytest.raises(ArithError):
-        crt_solvable([(0, 10)], P23)
+        solve_congruence(1, 1, 0)
 
 
-def _brute_solvable(congs):
-    lcm = 1
-    for _, d in congs:
-        lcm = lcm * abs(d) // math.gcd(lcm, abs(d))
-    return any(all((x - c) % d == 0 for c, d in congs) for x in range(lcm))
-
-
-def test_crt_against_brute_force():
+def test_solve_congruence_against_brute_force():
     rng = random.Random(2024)
-    primes = PrimeSet((2, 3, 5))
-    for _ in range(400):
-        congs = [
-            (
-                rng.randint(-40, 40),
-                2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2),
-            )
-            for _ in range(rng.randint(1, 5))
-        ]
-        assert crt_solvable(congs, primes) == _brute_solvable(congs)
-
-
-def test_crt_solve_gives_real_solutions():
-    rng = random.Random(99)
-    primes = PrimeSet((2, 3, 5))
-    solved = 0
-    for _ in range(300):
-        congs = [
-            (rng.randint(-30, 30), 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 2))
-            for _ in range(rng.randint(1, 4))
-        ]
-        sol = crt_solve(congs, primes)
+    unsolvable = 0
+    for _ in range(2000):
+        m = 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 2)
+        m *= rng.choice((1, -1))
+        a = rng.randint(-40, 40) * rng.choice((1, 2, 6, 10))
+        b = rng.randint(-100, 100)
+        brute = _brute_solutions(a, b, m)
+        sol = solve_congruence(a, b, m)
         if sol is None:
-            assert not crt_solvable(congs, primes)
-            continue
-        x, mod = sol
-        solved += 1
-        assert 0 <= x < max(mod, 1)
-        assert all((x - c) % d == 0 for c, d in congs)
-    assert solved > 0
+            unsolvable += 1
+            assert brute == []
+        else:
+            assert _progression(sol, m) == brute
+    assert 100 < unsolvable < 1900
+
+
+@given(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=-10**12, max_value=10**12).filter(bool),
+)
+def test_solve_congruence_gives_real_solutions(a, b, m):
+    sol = solve_congruence(a, b, m)
+    g = math.gcd(a, m)
+    if sol is None:
+        assert b % g != 0
+        return
+    s0, step = sol
+    assert 0 <= s0 < step and abs(m) % step == 0
+    assert (a * s0 - b) % m == 0
+    # the step is the smallest shift that keeps a solution a solution
+    assert step == abs(m) // g
 
 
 rationals = st.builds(

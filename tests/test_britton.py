@@ -19,6 +19,7 @@ from gbs.britton import (
     word_problem,
 )
 from gbs.conjugacy import verify_conjugator
+from gbs.freegroup import is_trivial
 from gbs.graphs import (
     GFactorization,
     WordError,
@@ -188,6 +189,29 @@ def test_vertex_group_exponent(example_fact):
     assert vertex_group_exponent(example_fact, 0, 8) == 15
     assert vertex_group_exponent(example_fact, 2, 4) == 4
     assert vertex_group_exponent(example_fact, 2, 3) is None
+    # the paper's construction: a slice lies in the vertex group iff its
+    # colour word is trivial, and then it contracts to k(i, j)
+    rng = random.Random(284)
+    inside = 0
+    for _ in range(1500):
+        g = gen.random_graph(rng)
+        f = gen.random_closed_factorization(rng, g, max_len=12, max_exp=6)
+        i = rng.randint(0, f.n)
+        j = rng.randint(i, f.n)
+        table, _ = color(f)
+        paper = (
+            PrefixRatios(f).k(i, j).as_integer()
+            if is_trivial(table.slice_word(i, j))
+            else None
+        )
+        assert vertex_group_exponent(f, i, j) == paper
+        inside += paper is not None
+    assert 300 < inside < 1200
+    # (y Y)^1000 over bs 1 1 at linear cost: every prefix ending on a Y is trivial
+    bs11 = parse_graph("bs 1 1")
+    f = GFactorization(bs11, "a", 0, (("y", 0), ("Y", 0)) * 1000)
+    assert vertex_group_exponent(f, 0, 2000) == 0
+    assert vertex_group_exponent(f, 0, 1999) is None
 
 
 def test_naive_reduce_examples(bs23):

@@ -187,3 +187,45 @@ def test_bench_count_zero(capsys):
     code, out, _ = run(capsys, "bench", "--seed", "9", "--count", "0")
     assert code == 0
     assert "instances: 0" in out
+
+
+def test_failed_self_check_is_an_error_not_a_no(capsys, bs_path, monkeypatch):
+    from gbs import conjugacy
+
+    monkeypatch.setattr(conjugacy, "verify_conjugator", lambda *args: False)
+    code, out, err = run(capsys, "conj", "--literal", bs_path, "y a", "y")
+    assert code == 3
+    assert out == "" and "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("monoid", "congruent", "{dim_abc}", "1", "1"),
+        ("monoid", "congruent", "{dim_negative}", "1", "1"),
+        ("monoid", "congruent", "{pres}", "1,0", "0,1", "--bound", "-5"),
+        ("conj", "--literal", "{graph}", "a^2", "a^3", "--bound", "-5"),
+        ("bench", "--count", "-1"),
+        ("bench", "--max-len", "-1"),
+        ("bench", "--max-vertices", "0"),
+        ("bench", "--max-exp", "x"),
+    ],
+    ids=[
+        "dim-abc", "dim-negative", "monoid-bound", "conj-bound",
+        "count", "max-len", "max-vertices", "max-exp",
+    ],
+)
+def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv):
+    files = {
+        "dim_abc": "dim abc\n",
+        "dim_negative": "dim -2\n",
+        "pres": "dim 2\nrel 1,0 ~ 0,1\n",
+        "graph": BS23 + "\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3
+    assert out == "" and "Traceback" not in err

@@ -6,7 +6,6 @@ from gbs import gen
 from gbs.britton import cyclically_reduce_with_conjugator
 from gbs.conjugacy import (
     ConjVerdict,
-    hyperbolic_system,
     conj_brute,
     conj_brute_status,
     conj_elliptic,
@@ -16,7 +15,15 @@ from gbs.conjugacy import (
     elliptic_closure,
     verify_conjugator,
 )
-from gbs.graphs import GbsError, WordError, letters_to_text, parse_word
+from gbs.graphs import (
+    GbsError,
+    GFactorization,
+    WordError,
+    bs_graph,
+    letters_to_text,
+    parse_graph,
+    parse_word,
+)
 from conftest import fact
 
 
@@ -91,26 +98,49 @@ def test_conj_hyperbolic_congruence_branch():
     assert conj_brute(v, w_no, 300) is None
 
 
-def test_hyperbolic_system_moduli_factor_over_graph_primes():
-    from gbs.arith import factor_over
+def _odd_exponent_loop(rng, graph, path):
+    # odd exponents keep every y v^k Y with beta in {2, 4} uncontracted, so
+    # the word is cyclically reduced with exactly this underlying path
+    steps = tuple((name, rng.randrange(-99, 100, 2)) for name in path)
+    return GFactorization(graph, "a", 0, steps)
 
-    rng = random.Random(64)
-    checked = 0
-    for _ in range(200):
-        g = gen.random_graph(rng)
-        v = gen.random_closed_factorization(rng, g, max_len=8, max_exp=4)
-        vh, _ = cyclically_reduce_with_conjugator(v)
-        if not vh.n:
-            continue
-        system = hyperbolic_system(vh, vh)
-        if system.modulus is None:
-            continue
-        checked += 1
-        primes = g.prime_set()
-        assert factor_over(system.modulus, primes).residual == 1
-        for _, d in system.congruences:
-            assert factor_over(d, primes).residual == 1
-    assert checked > 20
+
+def _scale_pairs():
+    rng = random.Random(1000)
+    bs22 = bs_graph(2, 2)
+    two_loops = parse_graph(TWO_LOOPS)
+    # ratio product one: every y/Y on bs 2 2; on TWO_LOOPS as many of
+    # {y, Z} (ratio 2) as of {Y, z} (ratio 1/2)
+    bs_path = [rng.choice("yY") for _ in range(1000)]
+    loops_path = [rng.choice("yZ") for _ in range(500)] + [rng.choice("Yz") for _ in range(500)]
+    rng.shuffle(loops_path)
+    return [
+        pytest.param(bs22, _odd_exponent_loop(rng, bs22, bs_path), True, id="bs22"),
+        pytest.param(
+            two_loops, _odd_exponent_loop(rng, two_loops, loops_path), False, id="two-loops"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("graph, v, abelian_negative", _scale_pairs())
+def test_hyperbolic_conjugacy_at_scale_with_ratio_product_one(graph, v, abelian_negative):
+    rng = random.Random(7)
+    path = tuple(name for name, _ in v.steps)
+    assert sum(path[r:] + path[:r] == path for r in range(v.n)) == 1  # not periodic
+    vh, _ = cyclically_reduce_with_conjugator(v)
+    assert vh.n == 1000
+    w = gen.conjugated_word(rng, graph, v)
+    res = conjugate(v, w)
+    assert res.verdict is ConjVerdict.CONJUGATE
+    assert verify_conjugator(res.witness, v, w)
+    if abelian_negative:
+        # on bs 2 2 the a-exponent sum is an abelianization invariant, so
+        # moving one odd exponent by 2 certifies a non-conjugate pair
+        steps = list(v.steps)
+        steps[500] = (steps[500][0], steps[500][1] + 2)
+        u = GFactorization(graph, "a", 0, tuple(steps))
+        assert conjugate(v, u).verdict is ConjVerdict.NOT_CONJUGATE
+        assert conjugate(u, w).verdict is ConjVerdict.NOT_CONJUGATE
 
 
 def test_conj_elliptic_bs_examples():
