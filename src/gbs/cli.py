@@ -47,6 +47,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise graphs.GbsError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise graphs.GbsError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_graph(path: str) -> graphs.GbsGraph:
@@ -273,10 +275,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # stateless: errors raise, parse_args returns a new namespace
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

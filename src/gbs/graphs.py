@@ -152,8 +152,9 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
 
     Either a single ``bs <p> <q>`` line, or ``vertex <id>`` and
     ``edge <id> <src> <dst> <alpha> <beta> <inv-id>`` lines; ``#`` starts a
-    comment.  With ``check`` (the default) the parsed graph must also pass
-    :func:`validate`.
+    comment.  Only the syntax is checked here; with ``check`` (the default)
+    the parsed graph must also pass :func:`validate`, which covers endpoints,
+    inverses, labels and connectivity.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
@@ -206,14 +207,6 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
                 fail(lineno, "bs must be the only line of the file")
             else:
                 fail(lineno, f"unknown directive {kind!r}")
-        vset = set(vertices)
-        for e in edges:
-            if e.src not in vset:
-                raise GraphError(f"edge {e.name}: unknown source vertex {e.src!r}")
-            if e.dst not in vset:
-                raise GraphError(f"edge {e.name}: unknown target vertex {e.dst!r}")
-            if not any(o.name == e.inv for o in edges):
-                raise GraphError(f"edge {e.name}: unknown inverse edge {e.inv!r}")
         graph = GbsGraph(vertices, edges)
 
     if check:
@@ -226,21 +219,27 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
 def validate(graph: GbsGraph) -> list[str]:
     """All structural violations, as human-readable strings (empty = valid).
 
-    Checked: nonzero labels, the involution being fixed-point free and
-    consistent with endpoints and labels, and connectivity.
+    Checked: endpoints that are vertices, nonzero labels, the involution
+    being fixed-point free and consistent with endpoints and labels, and
+    connectivity.
     """
     report: list[str] = []
+    vertex_set = set(graph.vertices)
     if not graph.vertices:
         report.append("graph has no vertices")
-    if len(set(graph.vertices)) != len(graph.vertices):
+    if len(vertex_set) != len(graph.vertices):
         report.append("duplicate vertex ids")
     if len({e.name for e in graph.edges}) != len(graph.edges):
         report.append("duplicate edge ids")
-    if set(graph.vertices) & {e.name for e in graph.edges}:
+    if vertex_set & {e.name for e in graph.edges}:
         report.append("vertex and edge ids overlap")
     for e in graph.edges:
         if e.alpha == 0 or e.beta == 0:
             report.append(f"edge {e.name}: zero label")
+        if e.src not in vertex_set:
+            report.append(f"edge {e.name}: unknown source vertex {e.src!r}")
+        if e.dst not in vertex_set:
+            report.append(f"edge {e.name}: unknown target vertex {e.dst!r}")
         if not graph.has_edge(e.inv):
             report.append(f"edge {e.name}: missing inverse {e.inv!r}")
             continue
@@ -254,19 +253,41 @@ def validate(graph: GbsGraph) -> list[str]:
             report.append(f"edge {e.name}: inverse endpoints do not match")
         if inv.beta != e.alpha:
             report.append(f"edge {e.name}: alpha differs from beta of inverse")
-    if graph.vertices:
-        seen = {graph.vertices[0]}
-        queue = [graph.vertices[0]]
-        while queue:
-            v = queue.pop(0)
-            for name in graph.out_edges(v):
-                w = graph.target(name)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(graph.vertices):
-            report.append("graph is not connected")
+    if graph.vertices and not _search(graph, graph.vertices[0]).keys() >= vertex_set:
+        report.append("graph is not connected")
     return report
+
+
+def _search(
+    graph: GbsGraph, root: str, edges: Optional[frozenset] = None
+) -> dict[str, Optional[tuple[str, str]]]:
+    """Breadth-first search from ``root`` along out-edges in file order, using
+    only ``edges`` when given.  Maps every vertex reached to the step that
+    first reached it, ``(previous vertex, edge name)``, and ``root`` to None."""
+    prev: dict[str, Optional[tuple[str, str]]] = {root: None}
+    order = [root]
+    for v in order:  # the list grows as the search goes: a FIFO queue
+        for name in graph.out_edges(v):
+            if edges is None or name in edges:
+                w = graph.target(name)
+                if w not in prev:
+                    prev[w] = (v, name)
+                    order.append(w)
+    return prev
+
+
+def _path_to(prev: dict, root: str, goal: str) -> list[str]:
+    """Edge names from ``root`` to ``goal`` in the result of a :func:`_search`
+    from ``root``."""
+    if goal not in prev:
+        raise GraphError(f"no tree path from {root} to {goal}")
+    path: list[str] = []
+    step = prev[goal]
+    while step is not None:
+        path.append(step[1])
+        step = prev[step[0]]
+    path.reverse()
+    return path
 
 
 @dataclass(frozen=True)
@@ -418,61 +439,24 @@ def concat(*parts: GFactorization) -> GFactorization:
     return out
 
 
-SpanningTree = frozenset
-
-
 def spanning_tree(graph: GbsGraph) -> frozenset:
     """Deterministic spanning tree: breadth-first from the lexicographically
     least vertex, edges explored in file order.  Contains both directions of
     every selected edge pair."""
     if validate(graph):
         raise GraphError("graph is not valid")
-    root = min(graph.vertices)
-    seen = {root}
     tree: set[str] = set()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for name in graph.out_edges(v):
-            w = graph.target(name)
-            if w not in seen:
-                seen.add(w)
-                tree.add(name)
-                tree.add(graph.inverse(name))
-                queue.append(w)
+    for step in _search(graph, min(graph.vertices)).values():
+        if step is not None:
+            tree.add(step[1])
+            tree.add(graph.inverse(step[1]))
     return frozenset(tree)
 
 
 def tree_path(graph: GbsGraph, tree: frozenset, start: str, goal: str) -> tuple[str, ...]:
     """Edge names of the unique reduced path from start to goal inside a
     spanning tree."""
-    if start == goal:
-        return ()
-    prev: dict[str, tuple[str, str]] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for name in graph.out_edges(v):
-            if name not in tree:
-                continue
-            w = graph.target(name)
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (v, name)
-                if w == goal:
-                    queue.clear()
-                    break
-                queue.append(w)
-    if goal not in prev:
-        raise GraphError(f"no tree path from {start} to {goal}")
-    path: list[str] = []
-    v = goal
-    while v != start:
-        v, name = prev[v]
-        path.append(name)
-    path.reverse()
-    return tuple(path)
+    return tuple(_path_to(_search(graph, start, tree), start, goal))
 
 
 def rebase(
@@ -481,31 +465,31 @@ def rebase(
     """Image of a word under the isomorphism onto the fundamental group based
     at ``base``: every edge letter y becomes path(base, source(y)) y
     path(target(y), base) and every power v^k becomes path(base, v) v^k
-    path(v, base); the result is a closed factorization at ``base``."""
+    path(v, base); the result is a closed factorization at ``base``.
+
+    One tree search from ``base`` serves every letter: each vertex's path
+    is walked back once, and path(v, base) is its inverse letters reversed."""
     if not graph.has_vertex(base):
         raise GraphError(f"unknown vertex {base!r}")
-    out: list[Letter] = []
-
-    def extend_path(a: str, b: str):
-        out.extend(EdgeLetter(name) for name in tree_path(graph, tree, a, b))
-
+    prev = _search(graph, base, tree)
+    paths: dict[str, tuple[list[Letter], list[Letter]]] = {}
+    out: list[Letter] = [VertexPower(base, 0)]  # pins the base, also for no letters
     for letter in letters:
         if isinstance(letter, EdgeLetter):
-            e = graph.edge(letter.edge)
-            extend_path(base, e.src)
-            out.append(letter)
-            extend_path(e.dst, base)
+            src, dst = graph.source(letter.edge), graph.target(letter.edge)
         else:
-            extend_path(base, letter.vertex)
-            out.append(letter)
-            extend_path(letter.vertex, base)
-    f = to_factorization(out, graph)
-    if not f.steps:
-        return GFactorization(graph, base, f.k0, ())
-    return f
-
-
-Orientation = tuple
+            src = dst = letter.vertex
+        for v in (src, dst):
+            if v not in paths:
+                there = _path_to(prev, base, v)
+                paths[v] = (
+                    [EdgeLetter(name) for name in there],
+                    [EdgeLetter(graph.inverse(name)) for name in reversed(there)],
+                )
+        out += paths[src][0]
+        out.append(letter)
+        out += paths[dst][1]
+    return to_factorization(out, graph)
 
 
 def orientation(graph: GbsGraph) -> tuple[str, ...]:

@@ -30,6 +30,15 @@ def test_validate_broken(capsys, tmp_path):
     assert "alpha differs" in out
 
 
+def test_validate_lists_unknown_endpoint_and_missing_inverse(capsys, tmp_path):
+    p = tmp_path / "broken.graph"
+    p.write_text("vertex a\nedge t a z 2 3 T\nedge T z a 3 2 t\nedge s a a 1 1 S\n")
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 3 and err == ""
+    assert "edge t: unknown target vertex 'z'" in out
+    assert "edge s: missing inverse 'S'" in out
+
+
 def test_wp_nontrivial_example(capsys, bs_path, tmp_path):
     w = tmp_path / "w.word"
     w.write_text(EXAMPLE_WORD + "\n")
@@ -209,23 +218,31 @@ def test_failed_self_check_is_an_error_not_a_no(capsys, bs_path, monkeypatch):
         ("bench", "--max-len", "-1"),
         ("bench", "--max-vertices", "0"),
         ("bench", "--max-exp", "x"),
+        ("wp", "--literal", "{graph_bytes}", "a^1"),
+        ("wp", "{graph}", "{word_bytes}"),
+        ("monoid", "congruent", "{pres_bytes}", "1,0", "0,1"),
     ],
     ids=[
         "dim-abc", "dim-negative", "monoid-bound", "conj-bound",
         "count", "max-len", "max-vertices", "max-exp",
+        "graph-bytes", "word-bytes", "pres-bytes",
     ],
 )
 def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv):
     files = {
-        "dim_abc": "dim abc\n",
-        "dim_negative": "dim -2\n",
-        "pres": "dim 2\nrel 1,0 ~ 0,1\n",
-        "graph": BS23 + "\n",
+        "dim_abc": b"dim abc\n",
+        "dim_negative": b"dim -2\n",
+        "pres": b"dim 2\nrel 1,0 ~ 0,1\n",
+        "graph": BS23.encode() + b"\n",
+        # not UTF-8
+        "graph_bytes": b"bs 2 3\n\xff\n",
+        "word_bytes": b"y a^2 \xff Y\n",
+        "pres_bytes": b"dim 2\nrel 1,0 ~ \xfe0,1\n",
     }
     paths = {}
-    for name, text in files.items():
+    for name, data in files.items():
         paths[name] = tmp_path / name
-        paths[name].write_text(text)
+        paths[name].write_bytes(data)
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 3
     assert out == "" and "Traceback" not in err

@@ -244,3 +244,78 @@ def test_factorization_rejects_broken_paths(amalgam):
         GFactorization(amalgam, "a", 0, (("T", 0),))
     with pytest.raises(WordError):
         GFactorization(amalgam, "a", 0, (("t", 0), ("t", 0)))
+
+
+def test_validate_reports_unknown_endpoints():
+    g = GbsGraph(
+        ("a", "b"),
+        (Edge("t", "a", "z", 2, 3, "T"), Edge("T", "x", "a", 3, 2, "t")),
+    )
+    report = validate(g)
+    assert "edge t: unknown target vertex 'z'" in report
+    assert "edge T: unknown source vertex 'x'" in report
+    with pytest.raises(GraphError, match="unknown target vertex"):
+        parse_graph("vertex a\nvertex b\nedge t a z 2 3 T\nedge T z a 3 2 t\n")
+
+
+def _dfs_tree_path(graph, tree, start, goal):
+    """The path from start to goal over tree edges, by depth-first search."""
+    stack = [(start, ())]
+    seen = {start}
+    while stack:
+        v, path = stack.pop()
+        if v == goal:
+            return path
+        for name in tree:
+            w = graph.target(name)
+            if graph.source(name) == v and w not in seen:
+                seen.add(w)
+                stack.append((w, path + (name,)))
+    raise AssertionError(f"no tree path from {start} to {goal}")
+
+
+def test_tree_path_and_rebase_agree_with_depth_first_search():
+    # tree paths are unique, so a different search must find the same ones
+    rng = random.Random(17)
+    for _ in range(500):
+        g0 = gen.random_graph(rng, 8, 14)
+        edges = list(g0.edges)
+        rng.shuffle(edges)
+        g = GbsGraph(g0.vertices, edges)
+        tree = spanning_tree(g)
+        for a in g.vertices:
+            for b in g.vertices:
+                assert tree_path(g, tree, a, b) == _dfs_tree_path(g, tree, a, b)
+        base = rng.choice(g.vertices)
+        letters = [
+            EdgeLetter(rng.choice(edges).name) if rng.random() < 0.5
+            else VertexPower(rng.choice(g.vertices), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 8))
+        ]
+        expected = [VertexPower(base, 0)]
+        for letter in letters:
+            if isinstance(letter, EdgeLetter):
+                src, dst = g.source(letter.edge), g.target(letter.edge)
+            else:
+                src = dst = letter.vertex
+            expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, base, src)]
+            expected.append(letter)
+            expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, dst, base)]
+        assert rebase(letters, g, tree, base) == to_factorization(expected, g)
+
+
+def test_path_graph_of_20000_vertices():
+    n = 20_000
+    lines = [f"vertex v{i}" for i in range(n)]
+    for i in range(n - 1):
+        a, b = (2, 3) if i % 2 else (3, 2)
+        lines += [f"edge e{i} v{i} v{i + 1} {a} {b} E{i}", f"edge E{i} v{i + 1} v{i} {b} {a} e{i}"]
+    g = parse_graph("\n".join(lines))
+    tree = spanning_tree(g)
+    assert len(tree) == 2 * (n - 1)
+    path = tree_path(g, tree, "v0", f"v{n - 1}")
+    assert len(path) == n - 1 and path[0] == "e0" and path[-1] == f"e{n - 2}"
+    u = parse_word(f"v{n - 1}^3 E{n - 2} v{n - 2}^-2 e{n - 2}", g)
+    f = rebase(u + invert(to_factorization(u, g)).letters(), g, tree, "v0")
+    assert f.base == "v0" and f.n > 4 * (n - 1)
+    assert britton.word_problem(f)
