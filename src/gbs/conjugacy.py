@@ -6,10 +6,10 @@ rotating one operand over the other and, for each rotation with the same
 underlying path, walking the loop once with integers to find the conjugating
 vertex power: one linear congruence per edge and one closing equation.
 Elliptic pairs reduce to a commutative-monoid congruence over the graph's
-primes; a bounded search may come back undecided, so the verdict is
-three-valued.  Every positive answer carries a conjugator witness that is
-verified against the word problem; a witness that fails raises
-:class:`InternalError`, never a negative verdict.
+primes, decided by completion; only a caller's coordinate bound can stop it
+short, so the verdict is three-valued.  Every positive answer carries a
+conjugator witness that is verified against the word problem; a witness
+that fails raises :class:`InternalError`, never a negative verdict.
 """
 from __future__ import annotations
 
@@ -189,7 +189,9 @@ def conj_elliptic(
     """Conjugacy of the vertex powers ``a^k`` and ``b^ell``: residuals over
     the graph's primes must agree, and the exponent vectors must be
     congruent in the derived monoid; a congruence path maps back to an
-    edge-letter conjugator."""
+    edge-letter conjugator.  ``bound`` caps the completion's coordinates
+    (see :func:`monoid.congruent`); when it stops the completion short, the
+    verdict is UNKNOWN."""
     if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
         path = tree_path(graph, spanning_tree(graph), b, a)
         return ConjResult(ConjVerdict.CONJUGATE, tuple(EdgeLetter(name) for name in path))
@@ -219,9 +221,10 @@ def conjugate(
     """Decide conjugacy of two closed factorizations.
 
     Both are cyclically reduced first.  Two elliptic words go through the
-    monoid route (the one place an UNKNOWN can arise); two hyperbolic words
-    go through rotations and the exact conjugating-power system; a mixed
-    pair, or hyperbolic words of different lengths, cannot be conjugate.
+    monoid route (the one place an UNKNOWN can arise, and only under a
+    ``bound``); two hyperbolic words go through rotations and the exact
+    conjugating-power system; a mixed pair, or hyperbolic words of different
+    lengths, cannot be conjugate.
     """
     if v.graph != w.graph:
         raise GbsError("words live over different graphs")

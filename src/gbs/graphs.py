@@ -442,11 +442,15 @@ def concat(*parts: GFactorization) -> GFactorization:
 def spanning_tree(graph: GbsGraph) -> frozenset:
     """Deterministic spanning tree: breadth-first from the lexicographically
     least vertex, edges explored in file order.  Contains both directions of
-    every selected edge pair."""
-    if validate(graph):
-        raise GraphError("graph is not valid")
+    every selected edge pair.  The graph is taken as valid (see
+    :func:`validate`) apart from connectivity, which the search checks."""
+    if not graph.vertices:
+        raise GraphError("graph has no vertices")
+    prev = _search(graph, min(graph.vertices))
+    if any(v not in prev for v in graph.vertices):
+        raise GraphError("graph is not connected")
     tree: set[str] = set()
-    for step in _search(graph, min(graph.vertices)).values():
+    for step in prev.values():
         if step is not None:
             tree.add(step[1])
             tree.add(graph.inverse(step[1]))

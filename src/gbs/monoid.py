@@ -1,16 +1,21 @@
-"""Finitely presented commutative monoid congruences, decided by bounded
-bidirectional closure, plus the two translations between elliptic conjugacy
-in a graph of groups and monoid congruence instances.
+"""Finitely presented commutative monoid congruences, decided by binomial
+completion, plus the two translations between elliptic conjugacy in a graph
+of groups and monoid congruence instances.
 
 Vectors are tuples of naturals.  A relation (r, s) may be applied to v in
 either direction when the subtracted side fits componentwise, moving v to
 ``v - r + s`` or ``v - s + r``; two vectors are congruent exactly when a
-chain of such moves links them.
+chain of such moves links them.  Oriented from the larger side to the
+smaller in a graded order, the relations form a rewriting system, and
+completing it (Buchberger's algorithm restricted to binomials, after
+Ballantyne and Lankford) leaves every class one normal form.
 """
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
+from operator import add, ge, sub
 from typing import Optional, Sequence
 
 from . import arith
@@ -30,15 +35,24 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class MonPresentation:
+    """Relations over vectors of length ``dim``.  The last ``units``
+    coordinates, when there are any, count vertex units: both sides of
+    every relation hold as many, so every move keeps a vector's count."""
+
     dim: int
     relations: tuple[tuple[ExpVec, ExpVec], ...]
+    units: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.units <= self.dim:
+            raise GbsError("unit count out of range")
         for r, s in self.relations:
             if len(r) != self.dim or len(s) != self.dim:
                 raise GbsError("relation dimension mismatch")
             if any(x < 0 for x in r + s):
                 raise GbsError("relation entries must be naturals")
+            if self.units and sum(r[-self.units:]) != sum(s[-self.units:]):
+                raise GbsError("relation sides hold different unit counts")
 
 
 @dataclass(frozen=True)
@@ -62,69 +76,186 @@ def replay_path(
     return v
 
 
-def _lattice_solvable(deltas: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
-    """Whether target lies in the integer span of the given vectors.
+def _key(v: ExpVec) -> tuple:
+    """The graded order: total degree first, then lexicographic."""
+    return (sum(v), v)
 
-    Row-reduces the generators over the integers (extended gcd elimination)
-    and then reduces the target against the resulting triangular basis.
+
+def _reverse(steps: Sequence[PathStep]) -> list[PathStep]:
+    return [(j, -d) for j, d in reversed(steps)]
+
+
+def _normal_form(v: ExpVec, rules: list) -> tuple[ExpVec, list[PathStep]]:
+    """Rewrite v by the first rule ``(lhs, rhs - lhs, equation)`` that fits
+    until none does; the normal form and the steps taken."""
+    steps = []
+    while True:
+        for lhs, delta, i in rules:
+            if all(map(ge, v, lhs)):
+                v = tuple(map(add, v, delta))
+                steps.append((i, 1))
+                break
+        else:
+            return v, steps
+
+
+def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int]):
+    """Complete the presentation into a confluent rewriting system until e
+    and f share a normal form, or to the end.
+
+    ``eqs`` holds equations ``(u, v, path)``: path leads from u to v in
+    steps ``(j, d)`` that apply equation j forwards (d = 1) or backwards
+    (d = -1) and name only earlier equations.  The first equations are the
+    relations themselves, with path None.  ``active`` holds the equations
+    in use as rules ``u -> v`` (u above v in the graded order); the others
+    stay only as derivations.  Each new rule removes the rules whose left
+    side it divides (their equations are resolved again) and rewrites the
+    right sides it divides.  Critical pairs are resolved in the order of
+    their lcm, and skipped when the two left sides share no coordinate
+    (Buchberger's first criterion), when the lcm holds more units than e
+    (moves keep the unit count, so no vector congruent to e meets such a
+    pair), or when a coordinate of the lcm exceeds ``bound``.  After each
+    new rule, e and f are rewritten further.
+
+    Returns ``(eqs, steps, capped)``: steps over ``eqs`` lead from e to f,
+    or are None when the normal forms stay apart; ``capped`` says whether a
+    pair of two surviving rules was skipped for the bound.
     """
-    rows = [list(d) for d in deltas if any(d)]
-    dim = len(target)
-    basis: list[list[int]] = []
-    for col in range(dim):
-        pivot = None
-        for row in rows:
-            if row[col]:
-                if pivot is None:
-                    pivot = row
-                else:
-                    # fold row into pivot so pivot[col] becomes the gcd
-                    while row[col]:
-                        q = pivot[col] // row[col]
-                        for t in range(dim):
-                            pivot[t] -= q * row[t]
-                        pivot, row = row, pivot
-        if pivot is not None:
-            rows = [row for row in rows if row is not pivot]
-            basis.append(pivot)
-    t = list(target)
-    for pivot in basis:
-        col = next(c for c in range(dim) if pivot[c])
-        if t[col] % pivot[col]:
-            return False
-        q = t[col] // pivot[col]
-        for c in range(dim):
-            t[c] -= q * pivot[c]
-    return not any(t)
+    units = pres.units
+    degree = sum(e[-units:]) if units else 0
+    eqs: list = [(r, s, None) for r, s in pres.relations]
+    todo = [(r, s, ((j, 1),)) for j, (r, s) in enumerate(pres.relations)][::-1]
+    active: list = []  # rules as (u, v - u, equation)
+    successor: dict[int, int] = {}  # a rule whose right side was rewritten -> its new rule
+    pairs: list = []  # heap of (graded key of the lcm, rule, rule)
+    capped: list[tuple[int, int]] = []
+    ends = [(e, []), (f, [])]  # e and f as far as they are rewritten, with the steps taken
+
+    def live(i: int) -> Optional[int]:
+        while i in successor:
+            i = successor[i]
+        return i if any(rule[2] == i for rule in active) else None
+
+    while todo or pairs:
+        if todo:
+            u, v, path = todo.pop()
+        else:
+            _, i, j = heapq.heappop(pairs)
+            i, j = live(i), live(j)
+            if i is None or j is None:
+                continue
+            (li, ri, _), (lj, rj, _) = eqs[i], eqs[j]
+            lcm = tuple(map(max, li, lj))
+            u = tuple(map(add, lcm, map(sub, ri, li)))
+            v = tuple(map(add, lcm, map(sub, rj, lj)))
+            path = ((i, -1), (j, 1))
+        u, pu = _normal_form(u, active)
+        v, pv = _normal_form(v, active)
+        if u == v:
+            continue
+        path = _reverse(pu) + list(path) + pv
+        if _key(u) < _key(v):
+            u, v, path = v, u, _reverse(path)
+        new = len(eqs)
+        eqs.append((u, v, tuple(path)))
+        kept = []
+        for rule in active:
+            lhs, _, k = rule
+            if all(map(ge, lhs, u)):
+                todo.append((lhs, eqs[k][1], ((k, 1),)))
+            else:
+                kept.append(rule)
+        active[:] = kept + [(u, tuple(map(sub, v, u)), new)]
+        for pos, (lhs, _, k) in enumerate(kept):
+            rhs = eqs[k][1]
+            if all(map(ge, rhs, u)):
+                rhs, steps = _normal_form(rhs, active)
+                successor[k] = len(eqs)
+                active[pos] = (lhs, tuple(map(sub, rhs, lhs)), len(eqs))
+                eqs.append((lhs, rhs, ((k, 1), *steps)))
+        for lhs, _, k in active[:-1]:
+            if not any(x and y for x, y in zip(lhs, u)):
+                continue
+            lcm = tuple(map(max, lhs, u))
+            if units and sum(lcm[-units:]) > degree:
+                continue
+            if bound is not None and max(lcm) > bound:
+                capped.append((k, new))
+                continue
+            heapq.heappush(pairs, (_key(lcm), k, new))
+        for end, (w, steps) in enumerate(ends):
+            if all(map(ge, w, u)):  # only the new rule can apply to an end
+                w, more = _normal_form(w, active)
+                ends[end] = (w, steps + more)
+        if ends[0][0] == ends[1][0]:
+            return eqs, ends[0][1] + _reverse(ends[1][1]), False
+    stopped = any(live(i) is not None and live(j) is not None for i, j in capped)
+    return eqs, None, stopped
 
 
-def default_bound(e: ExpVec, f: ExpVec, pres: MonPresentation) -> int:
-    """Coordinate cap covering the test corpus: largest input coordinate plus
-    sixteen times one more than the total relation norm."""
-    norm = sum(sum(r) + sum(s) for r, s in pres.relations)
-    top = max([*e, *f, 0])
-    return top + 16 * (1 + norm)
+def _cut_loops(start: ExpVec, path: Sequence[PathStep], pres: MonPresentation) -> list[PathStep]:
+    """The relation path from start with every stretch that comes back to an
+    earlier vector cut out."""
+    at = {start: 0}  # vector -> number of steps kept when it was reached
+    trail = [start]
+    out: list[PathStep] = []
+    v = start
+    for idx, d in path:
+        r, s = pres.relations[idx]
+        sub, add = (r, s) if d > 0 else (s, r)
+        v = tuple(x - y + z for x, y, z in zip(v, sub, add))
+        if v in at:
+            keep = at[v]
+            for w in trail[keep + 1:]:
+                del at[w]
+            del trail[keep + 1:], out[keep:]
+        else:
+            out.append((idx, d))
+            trail.append(v)
+            at[v] = len(out)
+    return out
 
 
-_DEFAULT_NODE_BUDGET = 200_000
+def _relation_path(
+    start: ExpVec, steps: Sequence[PathStep], eqs: list, pres: MonPresentation
+) -> tuple[PathStep, ...]:
+    """Expand steps over equations, taken from start, into relation steps.
+    Every equation named is expanded once, from its own first vector, with
+    its loops cut; paths move by translation, so the expansion fits wherever
+    the equation applies."""
+    need, stack = set(), [j for j, _ in steps]
+    while stack:
+        j = stack.pop()
+        if j not in need:
+            need.add(j)
+            stack += [k for k, _ in eqs[j][2] or ()]
+    paths: dict[int, list[PathStep]] = {}
+
+    def splice(seq: Sequence[PathStep]) -> list[PathStep]:
+        out: list[PathStep] = []
+        for j, d in seq:
+            out += paths[j] if d > 0 else _reverse(paths[j])
+        return out
+
+    for j in sorted(need):
+        u, _, deriv = eqs[j]
+        paths[j] = [(j, 1)] if deriv is None else _cut_loops(u, splice(deriv), pres)
+    return tuple(_cut_loops(start, splice(steps), pres))
 
 
 def congruent(
-    e: ExpVec,
-    f: ExpVec,
-    pres: MonPresentation,
-    bound: Optional[int] = None,
-    node_budget: int = _DEFAULT_NODE_BUDGET,
+    e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int] = None
 ) -> CongResult:
     """Decide whether e and f are congruent under the presentation.
 
-    Bidirectional breadth-first closure under relation moves, coordinates
-    capped at ``bound``.  Meeting frontiers yield CONGRUENT with a relation
-    path from e to f.  When either closure is fully enumerated without ever
-    discarding a successor (by the cap or the node budget) and no meeting
-    happened, the verdict is a definitive NOT_CONGRUENT; otherwise UNKNOWN.
-    A cheap necessary condition runs first: f - e must lie in the integer
-    span of the relation differences, each move displacing by one of them.
+    A vector that no relation side fits is alone in its class.  Otherwise
+    the presentation is completed (:func:`_complete`) and e and f are
+    rewritten to their normal forms.  Equal normal forms give CONGRUENT
+    with a relation path from e to f, replayed before it is returned;
+    distinct ones give NOT_CONGRUENT.  ``bound`` caps the coordinates of
+    the critical pairs the completion resolves: when it skipped a pair that
+    mattered and the normal forms differ, the verdict is UNKNOWN.  Without
+    a bound the completion always ends, by Dickson's lemma.
     """
     e, f = tuple(e), tuple(f)
     if len(e) != pres.dim or len(f) != pres.dim:
@@ -133,76 +264,25 @@ def congruent(
         raise GbsError("vectors must be naturals")
     if e == f:
         return CongResult(Verdict.CONGRUENT, ())
-    moves = []
-    for idx, (r, s) in enumerate(pres.relations):
-        if r == s:
-            continue  # degenerate relations carry no move
-        moves.append((idx, 1, r, s))
-        moves.append((idx, -1, s, r))
-    deltas = [tuple(b - a for a, b in zip(r, s)) for _, _, r, s in moves[::2]]
-    if not _lattice_solvable(deltas, tuple(y - x for x, y in zip(e, f))):
-        return CongResult(Verdict.NOT_CONGRUENT, reason="outside the relation lattice")
-    if bound is None:
-        bound = default_bound(e, f, pres)
-
-    # parent maps: vector -> (previous vector, (idx, dir)) per search side
-    visited = ({e: None}, {f: None})
-    frontier = ([e], [f])
-    complete = [True, True]
-    nodes = 2
-
-    def rebuild(side: int, vec: ExpVec) -> list[PathStep]:
-        steps = []
-        while visited[side][vec] is not None:
-            vec, step = visited[side][vec]
-            steps.append(step)
-        steps.reverse()
-        return steps
-
-    meet: Optional[ExpVec] = None
-    while (frontier[0] or frontier[1]) and meet is None:
-        side = 0 if frontier[0] and (
-            not frontier[1] or len(frontier[0]) <= len(frontier[1])
-        ) else 1
-        here, there = visited[side], visited[1 - side]
-        layer: list[ExpVec] = []
-        found: list[ExpVec] = []
-        for v in frontier[side]:
-            for idx, direction, sub, add in moves:
-                ok = True
-                for x, y in zip(v, sub):
-                    if x < y:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                w = tuple(x - y + z for x, y, z in zip(v, sub, add))
-                if w in here:
-                    continue
-                if max(w) > bound or nodes >= node_budget:
-                    complete[side] = False
-                    continue
-                here[w] = (v, (idx, direction))
-                nodes += 1
-                layer.append(w)
-                if w in there:
-                    found.append(w)
-        if found:
-            meet = min(found)
-        frontier[side][:] = layer
-
-    if meet is not None:
-        forward = rebuild(0, meet)
-        backward = rebuild(1, meet)
-        path = tuple(forward) + tuple(
-            (idx, -direction) for idx, direction in reversed(backward)
-        )
-        if replay_path(e, path, pres) != f:
-            raise InternalError("congruence path failed to replay")
-        return CongResult(Verdict.CONGRUENT, path)
-    if complete[0] or complete[1]:
-        return CongResult(Verdict.NOT_CONGRUENT, reason="closure exhausted")
-    return CongResult(Verdict.UNKNOWN, reason=f"closure capped at bound {bound}")
+    units = pres.units
+    if units and sum(e[-units:]) != sum(f[-units:]):
+        return CongResult(Verdict.NOT_CONGRUENT, reason="unit counts differ")
+    for v in (e, f):
+        if not any(all(map(ge, v, side)) for rel in pres.relations for side in rel):
+            return CongResult(Verdict.NOT_CONGRUENT, reason="no relation applies")
+    eqs, steps, stopped = _complete(e, f, pres, bound)
+    if steps is None:
+        if stopped:
+            return CongResult(Verdict.UNKNOWN, reason=f"completion capped at bound {bound}")
+        return CongResult(Verdict.NOT_CONGRUENT, reason="distinct normal forms")
+    path = _relation_path(e, steps, eqs, pres)
+    try:
+        end = replay_path(e, path, pres)
+    except GbsError:
+        end = None
+    if end != f:
+        raise InternalError("congruence path failed to replay")
+    return CongResult(Verdict.CONGRUENT, path)
 
 
 def parse_presentation(text: str) -> MonPresentation:
@@ -257,7 +337,10 @@ class MonoidEncoding:
     Exponent vectors have one slot per prime (the sign prime -1 first) and
     one unit slot per vertex.  Each inverse-edge pair contributes one
     relation identifying alpha at the source with beta at the target; each
-    vertex gets a sign relation absorbing squared signs.  ``step_letters``
+    vertex gets a sign relation absorbing squared signs.  Every relation
+    side holds one vertex unit, so the vertex slots are the presentation's
+    units: the completion for a vertex power never resolves a critical pair
+    of two different vertices.  ``step_letters``
     maps a relation applied r->s to the conjugating edge letter (None for
     sign relations); the reverse application conjugates by the inverse edge.
     """
@@ -326,7 +409,11 @@ def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
         relations.append((sign_one + unit, (0,) * m + unit))
         letters.append(None)
     return MonoidEncoding(
-        graph, MonPresentation(dim, tuple(relations)), primes, vertices, tuple(letters)
+        graph,
+        MonPresentation(dim, tuple(relations), len(vertices)),
+        primes,
+        vertices,
+        tuple(letters),
     )
 
 

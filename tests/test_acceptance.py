@@ -54,7 +54,6 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
-    default_bound,
     monoid_to_gbs,
     replay_path,
 )
@@ -282,7 +281,7 @@ def test_criterion_8_monoid_gbs_round_trips():
         assert (mon.verdict is Verdict.CONGRUENT) == (
             conj.verdict is ConjVerdict.CONJUGATE
         )
-    assert both_decided > 100
+    assert both_decided == 200
 
     brute_decided = 0
     for _ in range(200):
@@ -373,7 +372,7 @@ def test_criterion_10_translation_invariance():
         g = tuple(rng.randint(0, 5) for _ in range(dim))
         eg = tuple(x + y for x, y in zip(e, g))
         fg = tuple(x + y for x, y in zip(f, g))
-        shifted = congruent(eg, fg, pres, bound=default_bound(e, f, pres) + max(g))
+        shifted = congruent(eg, fg, pres)
         assert shifted.verdict is Verdict.CONGRUENT
         assert replay_path(eg, res.path, pres) == fg
         done += 1

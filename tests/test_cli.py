@@ -132,6 +132,8 @@ def test_conj_no(capsys, bs_path):
 
 
 def test_conj_unknown_exit_code(capsys, tmp_path):
+    # a^6 and a^2 are not conjugate: every move keeps the 3-adic valuation
+    # at least 1.  A cap below every critical pair leaves it undecided.
     p = tmp_path / "g.graph"
     p.write_text(
         "vertex a\n"
@@ -139,6 +141,8 @@ def test_conj_unknown_exit_code(capsys, tmp_path):
         "edge z a a 9 3 Z\nedge Z a a 3 9 z\n"
     )
     code, out, _ = run(capsys, "conj", "--literal", str(p), "a^6", "a^2")
+    assert code == 1 and out.strip() == "not-conjugate"
+    code, out, _ = run(capsys, "conj", "--literal", str(p), "a^6", "a^2", "--bound", "1")
     assert code == 2 and out.strip() == "unknown"
 
 
@@ -157,7 +161,13 @@ def test_monoid_congruent_unknown(capsys, tmp_path):
     code, out, _ = run(
         capsys, "monoid", "congruent", str(pres), "1,1", "1,0", "--bound", "30"
     )
+    assert code == 1 and out.strip() == "not-congruent"
+    # y^2 ~ 1 and xy ~ 1 give y ~ x through a critical pair at x y^2
+    pres.write_text("dim 2\nrel 0,0 ~ 0,2\nrel 0,0 ~ 1,1\n")
+    code, out, _ = run(capsys, "monoid", "congruent", str(pres), "0,1", "1,0", "--bound", "1")
     assert code == 2 and out.strip() == "unknown"
+    code, out, _ = run(capsys, "monoid", "congruent", str(pres), "0,1", "1,0")
+    assert code == 0 and out.strip() == "congruent"
 
 
 def test_convert_emits_parseable_graph(capsys, tmp_path):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gbs import britton, gen
+from gbs import britton, gen, graphs
+from gbs.cli import main
 from gbs.graphs import (
     Edge,
     EdgeLetter,
@@ -22,7 +23,7 @@ from gbs.graphs import (
     tree_path,
     validate,
 )
-from conftest import EXAMPLE_WORD, fact
+from conftest import AMALGAM, EXAMPLE_WORD, fact
 
 
 def test_parse_bs_header(bs23):
@@ -157,6 +158,25 @@ def test_spanning_tree_path_graph():
         "edge t b c 1 1 T\nedge T c b 1 1 t\n"
     )
     assert spanning_tree(g) == frozenset({"s", "S", "t", "T"})
+
+
+def test_spanning_tree_rejects_a_disconnected_graph():
+    g = parse_graph(
+        "vertex a\nvertex b\nedge s a a 1 1 S\nedge S a a 1 1 s\n", check=False
+    )
+    with pytest.raises(GraphError, match="not connected"):
+        spanning_tree(g)
+
+
+def test_pi1_query_validates_the_graph_once(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "amalgam.graph"
+    p.write_text(AMALGAM)
+    calls = []
+    real = graphs.validate
+    monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
+    assert main(["wp", "--pi1", "--literal", str(p), "t b^3 T a^-2"]) == 0
+    assert capsys.readouterr().out.strip() == "trivial"
+    assert len(calls) == 1
 
 
 def test_spanning_tree_triangle_deterministic(triangle):
