@@ -46,6 +46,7 @@ from .graphs import (
     invert,
     letters_to_text,
     orientation,
+    parse_factorization,
     parse_graph,
     parse_word,
     rebase,

@@ -333,18 +333,19 @@ def britton_reduce_fast(f: GFactorization) -> GFactorization:
     is the inverse of the top edge, with beta(top) dividing the top's
     exponent, pops the top and contracts into the exponent below it.  This is
     the leftmost-first rule of :func:`britton_reduce_naive`, in linear time."""
-    g = f.graph
-    names, exps = [""], [f.k0]  # slot 0 carries k0, as in britton_reduce_naive
+    by_name = f.graph.by_name
+    edges, exps = [None], [f.k0]  # slot 0 carries k0, as in britton_reduce_naive
     for name, k in f.steps:
-        top = names[-1]
-        if top and name == g.inverse(top) and exps[-1] % g.beta(top) == 0:
-            names.pop()
-            t = exps.pop() // g.beta(top)
-            exps[-1] += g.alpha(top) * t + k
+        top = edges[-1]
+        if top is not None and name == top.inv and exps[-1] % top.beta == 0:
+            edges.pop()
+            t = exps.pop() // top.beta
+            exps[-1] += top.alpha * t + k
         else:
-            names.append(name)
+            edges.append(by_name[name])
             exps.append(k)
-    return GFactorization(g, f.base, exps[0], tuple(zip(names[1:], exps[1:])))
+    steps = tuple(zip([e.name for e in edges[1:]], exps[1:]))
+    return GFactorization(f.graph, f.base, exps[0], steps)
 
 
 def word_problem(f: GFactorization) -> bool:

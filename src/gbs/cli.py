@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for yes/success, 1 for no, 2 for undecided, 3 for any input or
-usage error and for a failed internal self-check (never reported as a "no").
+usage error, for a failed internal self-check and for any other exception,
+reported as one ``internal error: ...`` line (never as a "no").  Exponents may
+have any number of digits.
 Diagnostics go to stderr; reports are deterministic on stdout.
 """
 from __future__ import annotations
@@ -55,18 +57,18 @@ def _load_graph(path: str) -> graphs.GbsGraph:
     return graphs.parse_graph(_read(path))
 
 
-def _load_word(arg: str, graph: graphs.GbsGraph, literal: bool):
-    text = arg if literal else _read(arg)
-    return graphs.parse_word(text, graph)
+def _word_text(arg: str, literal: bool) -> str:
+    return arg if literal else _read(arg)
 
 
 def _factorization(arg: str, graph, args) -> graphs.GFactorization:
-    letters = _load_word(arg, graph, args.literal)
+    text = _word_text(arg, args.literal)
     if getattr(args, "pi1", False):
+        letters = graphs.parse_word(text, graph)  # rebase takes letters at any vertex
         tree = graphs.spanning_tree(graph)
         base = args.base or min(graph.vertices)
         return graphs.rebase(letters, graph, tree, base)
-    return graphs.to_factorization(letters, graph)
+    return graphs.parse_factorization(text, graph)
 
 
 def _cmd_validate(args) -> int:
@@ -108,8 +110,8 @@ def _cmd_cyc_reduce(args) -> int:
 
 def _cmd_conj(args) -> int:
     graph = _load_graph(args.graph)
-    v = graphs.to_factorization(_load_word(args.v, graph, args.literal), graph)
-    w = graphs.to_factorization(_load_word(args.w, graph, args.literal), graph)
+    v = graphs.parse_factorization(_word_text(args.v, args.literal), graph)
+    w = graphs.parse_factorization(_word_text(args.w, args.literal), graph)
     res = conjugacy.conjugate(v, w, bound=args.bound)
     print(res.verdict.value)
     if res.verdict is conjugacy.ConjVerdict.CONJUGATE and args.witness:
@@ -279,6 +281,8 @@ _PARSER = _build_parser()  # stateless: errors raise, parse_args returns a new n
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)  # exponents of any length, read and printed
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
@@ -287,6 +291,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except graphs.GbsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a bug, never a verdict: exit 3, not the "no" code
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
 
 

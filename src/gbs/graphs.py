@@ -61,13 +61,14 @@ _EMPTY_TOKEN = "1"
 
 class GbsGraph:
     """Immutable graph with edge involution and labels; indexes are built
-    eagerly, deeper well-formedness lives in :func:`validate`."""
+    eagerly, deeper well-formedness lives in :func:`validate`.  ``by_name``
+    maps each edge name to its :class:`Edge`; hot loops read it directly."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self._vertex_set = set(self.vertices)
-        self._by_name = {e.name: e for e in self.edges}
+        self.by_name = {e.name: e for e in self.edges}
         self._out: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.src in self._out:
@@ -91,11 +92,11 @@ class GbsGraph:
         return v in self._vertex_set
 
     def has_edge(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.by_name
 
     def edge(self, name: str) -> Edge:
         try:
-            return self._by_name[name]
+            return self.by_name[name]
         except KeyError:
             raise GraphError(f"unknown edge {name!r}") from None
 
@@ -304,9 +305,12 @@ class GFactorization:
         g = self.graph
         if not g.has_vertex(self.base):
             raise WordError(f"unknown vertex {self.base!r}")
+        by_name = g.by_name
         cur = self.base
         for name, _ in self.steps:
-            e = g.edge(name)
+            e = by_name.get(name)
+            if e is None:
+                raise GraphError(f"unknown edge {name!r}")
             if e.src != cur:
                 raise WordError(f"edge {name} does not continue the path at {cur}")
             cur = e.dst
@@ -335,7 +339,14 @@ class GFactorization:
         return tuple(out)
 
     def __str__(self):
-        return letters_to_text(self.letters())
+        """The text of :func:`letters_to_text` applied to :meth:`letters`."""
+        by_name = self.graph.by_name
+        toks = [f"{self.base}^{self.k0}"] if self.k0 else []
+        for name, k in self.steps:
+            toks.append(name)
+            if k:
+                toks.append(f"{by_name[name].dst}^{k}")
+        return " ".join(toks) if toks else _EMPTY_TOKEN
 
 
 def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
@@ -411,6 +422,58 @@ def to_factorization(letters: Sequence[Letter], graph: GbsGraph) -> GFactorizati
             raise WordError("empty graph")
         base = graph.vertices[0]
     return GFactorization(graph, base, k0, tuple((n, k) for n, k in steps))
+
+
+def parse_factorization(text: str, graph: GbsGraph) -> GFactorization:
+    """``to_factorization(parse_word(text, graph), graph)`` in one pass over
+    the tokens, building no letters; same result, same errors.  As there,
+    every token is parsed before a power or edge off the path is reported."""
+    vertices, by_name = graph._vertex_set, graph.by_name
+    base = cur = None
+    k0 = 0
+    names: list[str] = []
+    exps: list[int] = []
+    off_path: Optional[str] = None  # the first path error, raised after parsing
+    for tok in text.split():
+        if tok == _EMPTY_TOKEN:
+            continue
+        if "^" in tok:
+            v, _, exp = tok.partition("^")
+            if v not in vertices:
+                raise WordError(f"unknown vertex {v!r}")
+            try:
+                k = int(exp)
+            except ValueError:
+                raise WordError(f"malformed exponent in {tok!r}") from None
+        elif tok in by_name:
+            e = by_name[tok]
+            if cur is None:
+                base = e.src
+            elif e.src != cur and off_path is None:
+                off_path = f"edge {tok} does not continue the path at {cur}"
+            names.append(tok)
+            exps.append(0)
+            cur = e.dst
+            continue
+        elif tok in vertices:
+            v, k = tok, 1
+        else:
+            raise WordError(f"unknown id {tok!r}")
+        if cur is None:
+            base = cur = v
+        elif v != cur and off_path is None:
+            off_path = f"vertex power {v!r} at path position {cur!r}"
+        if exps:
+            exps[-1] += k
+        else:
+            k0 += k
+    if off_path is not None:
+        raise WordError(off_path)
+    if base is None:
+        if not graph.vertices:
+            raise WordError("empty graph")
+        base = graph.vertices[0]
+    return GFactorization(graph, base, k0, tuple(zip(names, exps)))
 
 
 def invert(f: GFactorization) -> GFactorization:

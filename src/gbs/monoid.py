@@ -19,7 +19,7 @@ from operator import add, ge, sub
 from typing import Optional, Sequence
 
 from . import arith
-from .graphs import EdgeLetter, GbsGraph, GbsError, InternalError, Letter, orientation, validate
+from .graphs import EdgeLetter, GbsGraph, GbsError, InternalError, Letter, orientation
 
 ExpVec = tuple  # tuple[int, ...]
 
@@ -384,10 +384,8 @@ class MonoidEncoding:
 
 def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
     """Derive the congruence presentation whose word problem mirrors
-    elliptic conjugacy in the graph of groups."""
-    report = validate(graph)
-    if report:
-        raise GbsError("; ".join(report))
+    elliptic conjugacy in the graph of groups.  The graph is taken as valid
+    (see ``graphs.validate``), as ``graphs.parse_graph`` returns it."""
     primes = graph.prime_set()
     vertices = graph.vertices
     m = len(primes)

@@ -49,4 +49,4 @@ def example_fact(bs23):
 
 
 def fact(graph, text):
-    return graphs.to_factorization(graphs.parse_word(text, graph), graph)
+    return graphs.parse_factorization(text, graph)

@@ -217,6 +217,39 @@ def test_failed_self_check_is_an_error_not_a_no(capsys, bs_path, monkeypatch):
     assert out == "" and "error" in err and "Traceback" not in err
 
 
+def test_unexpected_exception_is_an_internal_error(capsys, bs_path, monkeypatch):
+    from gbs import britton
+
+    def broken(f):
+        raise RuntimeError("broken reducer")
+
+    monkeypatch.setattr(britton, "word_problem", broken)
+    code, out, err = run(capsys, "wp", "--literal", bs_path, "y a^2 Y a^-3")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and "broken reducer" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exponent_longer_than_the_default_digit_limit_is_printed(capsys, tmp_path):
+    # on bs 1 2, y^n a Y^n = a^(2^n); 2**15000 has 4,516 decimal digits
+    p = tmp_path / "bs12.graph"
+    p.write_text("bs 1 2\n")
+    word = " ".join(["y"] * 15000 + ["a^1"] + ["Y"] * 15000)
+    code, out, err = run(capsys, "reduce", "--literal", str(p), word)
+    assert code == 0 and err == ""
+    vertex, _, exp = out.strip().partition("^")
+    assert vertex == "a" and int(exp) == 2**15000
+
+
+def test_exponent_of_5000_digits_parses(capsys, bs_path):
+    big = "9" * 5000
+    code, out, err = run(capsys, "reduce", "--literal", bs_path, f"a^{big}")
+    assert code == 0 and err == ""
+    assert out.strip() == f"a^{big}"
+    code, out, _ = run(capsys, "wp", "--literal", bs_path, f"a^{big} a^-{big}")
+    assert code == 0 and out.strip() == "trivial"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

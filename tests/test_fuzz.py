@@ -1,6 +1,6 @@
 """Fuzzing of the input parsers and the command line: whatever the input,
 a call returns or raises ``GbsError``, and ``main`` exits with a documented
-code without printing a traceback.
+code without printing a traceback or reporting an internal error.
 
 Generated numbers stay small, because a label or exponent of hundreds of
 digits is valid input whose prime factorization could take any time.
@@ -102,3 +102,4 @@ def test_main_exits_with_a_documented_code(fuzz_dir, command, first, tokens):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    assert "internal error" not in err.getvalue(), argv

@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbs import britton, gen, graphs
 from gbs.cli import main
@@ -15,6 +18,7 @@ from gbs.graphs import (
     invert,
     letters_to_text,
     orientation,
+    parse_factorization,
     parse_graph,
     parse_word,
     rebase,
@@ -23,7 +27,7 @@ from gbs.graphs import (
     tree_path,
     validate,
 )
-from conftest import AMALGAM, EXAMPLE_WORD, fact
+from conftest import AMALGAM, BS23, EXAMPLE_WORD, TRIANGLE, fact
 
 
 def test_parse_bs_header(bs23):
@@ -176,6 +180,24 @@ def test_pi1_query_validates_the_graph_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
     assert main(["wp", "--pi1", "--literal", str(p), "t b^3 T a^-2"]) == 0
     assert capsys.readouterr().out.strip() == "trivial"
+    assert len(calls) == 1
+
+
+def test_elliptic_conj_validates_the_graph_once(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "bs23.graph"
+    p.write_text(BS23 + "\n")
+    calls = []
+    real = graphs.validate
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for name, mod in list(sys.modules.items()):  # also any copy bound by ``from .graphs import``
+        if name.startswith("gbs") and getattr(mod, "validate", None) is real:
+            monkeypatch.setattr(mod, "validate", counting)
+    assert main(["conj", "--literal", str(p), "a^2", "a^3"]) == 0
+    assert capsys.readouterr().out.strip() == "conjugate"
     assert len(calls) == 1
 
 
@@ -339,3 +361,48 @@ def test_path_graph_of_20000_vertices():
     f = rebase(u + invert(to_factorization(u, g)).letters(), g, tree, "v0")
     assert f.base == "v0" and f.n > 4 * (n - 1)
     assert britton.word_problem(f)
+
+
+AGREEMENT_GRAPHS = [parse_graph(t) for t in (BS23, AMALGAM, TRIANGLE)] + [GbsGraph((), ())]
+WORD_TOKENS = [
+    "a", "b", "c", "y", "Y", "t", "T", "ab", "ba", "bc", "cb", "ca", "ac", "1",
+    "a^2", "a^-3", "b^0", "c^7", "b^+4", "a^1_0", "a^٣", "a^x", "a^", "a^1^2", "y^2",
+    "^", "^3", "z", "z^2", "11",
+]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(AGREEMENT_GRAPHS),
+    st.one_of(st.lists(st.sampled_from(WORD_TOKENS), max_size=12).map(" ".join), st.text(max_size=20)),
+)
+@example(AGREEMENT_GRAPHS[1], "")
+@example(AGREEMENT_GRAPHS[3], "1 1")
+@example(AGREEMENT_GRAPHS[1], "a^1 b^1 z")  # the off-path power is reported after parsing
+@example(AGREEMENT_GRAPHS[1], "t t a^x")
+def test_parse_factorization_agrees_with_parse_word(graph, text):
+    want = _outcome(lambda: to_factorization(parse_word(text, graph), graph))
+    assert _outcome(lambda: parse_factorization(text, graph)) == want
+
+
+EXPONENTS = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(10**40), 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(AGREEMENT_GRAPHS[:3]), st.data())
+def test_str_is_letters_to_text_of_letters(graph, data):
+    base = data.draw(st.sampled_from(graph.vertices))
+    cur, steps = base, []
+    for _ in range(data.draw(st.integers(0, 8))):
+        name = data.draw(st.sampled_from(graph.out_edges(cur)))
+        steps.append((name, data.draw(EXPONENTS)))
+        cur = graph.target(name)
+    f = GFactorization(graph, base, data.draw(EXPONENTS), tuple(steps))
+    assert str(f) == letters_to_text(f.letters())

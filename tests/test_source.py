@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gbs"
@@ -12,4 +13,22 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_production_imports_are_stdlib_only():
+    # every import counts in start-up time, and the package has no dependencies
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative ones stay in gbs
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "gbs" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno}: {module}")
     assert list(SRC.glob("*.py")) and not found, found
