@@ -4,36 +4,27 @@ The package decides the word problem, computes Britton-reduced and
 cyclically Britton-reduced normal forms, and decides conjugacy (with
 verified witnesses) for fundamental groups of finite graphs of groups whose
 vertex and edge groups are all infinite cyclic.  It also converts between
-commutative-monoid word-problem instances and elliptic conjugacy instances,
-and ships brute-force oracles for cross-checking every fast path.
+commutative-monoid word-problem instances and elliptic conjugacy instances.
+The paper's colouring construction lives in ``gbs.britton`` and
+``gbs.freegroup`` and is not exported; the tests check it and the fast
+paths against the reference implementations in ``tests/oracles.py``.
 """
 
-from .arith import ExactRational, FactoredInt, PrimeSet, factor_over, solve_congruence, valuation
+from .arith import FactoredInt, PrimeSet, factor_over, solve_congruence, valuation
 from .britton import (
-    ColorTable,
-    PrefixRatios,
     britton_reduce_fast,
-    britton_reduce_naive,
-    color,
     cyclically_reduce,
-    is_britton_reduced,
-    k_interval,
-    rho,
-    sim_c,
     vertex_group_exponent,
     word_problem,
 )
 from .conjugacy import (
     ConjResult,
     ConjVerdict,
-    conj_brute,
     conj_elliptic,
-    conj_elliptic_bs,
     conj_hyperbolic,
     conjugate,
     hyperbolic_system,
 )
-from .freegroup import embed_f2, free_reduce_classes, free_reduce_stack, is_trivial
 from .graphs import (
     EdgeLetter,
     GbsError,

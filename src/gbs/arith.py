@@ -1,5 +1,5 @@
-"""Exact arithmetic support: unreduced rationals, factorization over a fixed
-prime set (with -1 as a formal sign prime), and a linear congruence solver.
+"""Exact arithmetic support: factorization over a fixed prime set (with -1
+as a formal sign prime) and a linear congruence solver.
 
 Integers are plain Python ``int`` throughout; they are arbitrary precision,
 carry a canonical zero, and round-trip through decimal text.
@@ -9,10 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-# Unreduced fractions are normalized lazily once either component grows past
-# this many bits; equality and arithmetic never require it.
-_NORMALIZE_BITS = 4096
 
 
 class ArithError(ValueError):
@@ -60,120 +56,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-class ExactRational:
-    """A fraction of integers that is *not* kept reduced.
-
-    Equality is by cross-multiplication, so unreduced and reduced
-    representations of the same value compare equal.  Components are reduced
-    by their gcd only when they grow past an internal bit threshold, which
-    bounds growth in long products without the cost of reducing every result.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            raise ArithError("zero denominator")
-        if num.bit_length() > _NORMALIZE_BITS or den.bit_length() > _NORMALIZE_BITS:
-            g = math.gcd(num, den)
-            if g > 1:
-                num //= g
-                den //= g
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def _coerce(other) -> "ExactRational":
-        if isinstance(other, ExactRational):
-            return other
-        if isinstance(other, int):
-            return ExactRational(other, 1)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactRational(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactRational(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExactRational(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.num == 0:
-            raise ArithError("division by zero")
-        return ExactRational(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
-    def __neg__(self):
-        return ExactRational(-self.num, self.den)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        g = math.gcd(self.num, self.den)
-        n, d = self.num // g, self.den // g
-        if d < 0:
-            n, d = -n, -d
-        return hash((n, d))
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def is_integer(self) -> bool:
-        return self.num % self.den == 0
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise ArithError(f"{self} is not an integer")
-        return self.num // self.den
-
-    def divisible_by(self, d: int) -> bool:
-        """Whether the value is an integer multiple of ``d``."""
-        if d == 0:
-            raise ArithError("zero divisor")
-        if not self.is_integer():
-            return False
-        return self.as_integer() % d == 0
-
-    def __repr__(self):
-        return f"ExactRational({self.num}, {self.den})"
-
-    def __str__(self):
-        return f"{self.num}/{self.den}"
 
 
 @dataclass(frozen=True)

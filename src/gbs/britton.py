@@ -3,8 +3,9 @@ paper's position colouring.
 
 Production runs on one left-to-right stack pass that contracts ``y v^k Y``
 (beta(y) | k) against the top of the stack.  The interval exponents and the
-colouring are the paper's reduction to the free group, kept as a tested
-cross-check; a direct rewriting oracle double-checks the stack pass.
+colouring are the paper's reduction to the free group; only the tests run
+them, as a cross-check.  The tests also compare the stack pass with a
+rewriting oracle in ``tests/oracles.py``.
 
 Edge positions are 1-based: a factorization ``base^k0 y1 v1^k1 ... yn vn^kn``
 has edges 1..n, and interval indices (i, j) with 0 <= i <= j <= n refer to the
@@ -13,10 +14,10 @@ slice ``vi^ki y_{i+1} ... y_j vj^kj``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import freegroup
-from .arith import ExactRational
 from .freegroup import FWord
 from .graphs import (
     GFactorization,
@@ -74,17 +75,17 @@ class PrefixRatios:
         if not 0 <= i <= j <= self.n:
             raise IndexError(f"interval ({i}, {j}) out of range for n={self.n}")
 
-    def ratio(self, i: int) -> ExactRational:
+    def ratio(self, i: int) -> Fraction:
         """Product of alpha/beta over edges 1..i."""
         self._check(i, i)
-        return ExactRational(self._num[i], self._den[i])
+        return Fraction(self._num[i], self._den[i])
 
     def k_numerator(self, i: int, j: int) -> int:
         return self._total[j] - (self._total[i - 1] if i else 0)
 
-    def k(self, i: int, j: int) -> ExactRational:
+    def k(self, i: int, j: int) -> Fraction:
         self._check(i, j)
-        return ExactRational(self.k_numerator(i, j), self._scale[i])
+        return Fraction(self.k_numerator(i, j), self._scale[i])
 
     def k_divisible(self, i: int, j: int, d: int) -> bool:
         """Whether k(i, j) is an integer divisible by d."""
@@ -93,7 +94,7 @@ class PrefixRatios:
         return num % scale == 0 and (num // scale) % d == 0
 
 
-def k_interval(f: GFactorization, i: int, j: int) -> ExactRational:
+def k_interval(f: GFactorization, i: int, j: int) -> Fraction:
     """Exact rational exponent accumulated by the slice between i and j."""
     return PrefixRatios(f).k(i, j)
 
@@ -297,44 +298,13 @@ def vertex_group_exponent(f: GFactorization, i: int, j: int) -> Optional[int]:
     return None if h.n else h.k0
 
 
-def is_britton_reduced(f: GFactorization) -> bool:
-    """No factor ``y v^k Y`` with beta(y) dividing k."""
-    g = f.graph
-    for r in range(f.n - 1):
-        name, k = f.steps[r]
-        if f.steps[r + 1][0] == g.inverse(name) and k % g.beta(name) == 0:
-            return False
-    return True
-
-
-def britton_reduce_naive(f: GFactorization) -> GFactorization:
-    """Reference reducer: repeatedly contract the leftmost factor ``y v^k Y``
-    with beta(y) | k into a vertex power, merging adjacent powers."""
-    g = f.graph
-    exps = [f.k0] + [k for _, k in f.steps]
-    names = [""] + [name for name, _ in f.steps]
-    r = 1
-    while r < len(names) - 1:
-        name = names[r]
-        if names[r + 1] == g.inverse(name) and exps[r] % g.beta(name) == 0:
-            exps[r - 1] += g.alpha(name) * (exps[r] // g.beta(name)) + exps[r + 1]
-            del names[r : r + 2]
-            del exps[r : r + 2]
-            r = max(1, r - 1)
-        else:
-            r += 1
-    return GFactorization(
-        g, f.base, exps[0], tuple(zip(names[1:], exps[1:]))
-    )
-
-
 def britton_reduce_fast(f: GFactorization) -> GFactorization:
     """Britton-reduce in one left-to-right stack pass: an incoming edge that
     is the inverse of the top edge, with beta(top) dividing the top's
     exponent, pops the top and contracts into the exponent below it.  This is
-    the leftmost-first rule of :func:`britton_reduce_naive`, in linear time."""
+    the leftmost-first rewriting rule, in linear time."""
     by_name = f.graph.by_name
-    edges, exps = [None], [f.k0]  # slot 0 carries k0, as in britton_reduce_naive
+    edges, exps = [None], [f.k0]  # slot 0 carries k0 and is never popped
     for name, k in f.steps:
         top = edges[-1]
         if top is not None and name == top.inv and exps[-1] % top.beta == 0:
@@ -368,7 +338,7 @@ def _rotate_with_conjugator(f: GFactorization, m: int):
     return rot, GFactorization(g, base, 0, f.steps[m:]).letters()
 
 
-def cyclically_reduce_with_conjugator(f: GFactorization, reducer=britton_reduce_fast):
+def cyclically_reduce_with_conjugator(f: GFactorization):
     """Cyclically Britton-reduce a closed factorization; also return letters
     of a word z with ``result = z f z^-1``.
 
@@ -382,7 +352,7 @@ def cyclically_reduce_with_conjugator(f: GFactorization, reducer=britton_reduce_
     """
     if not f.is_closed:
         raise WordError("cyclic reduction needs a closed factorization")
-    h = reducer(f)
+    h = britton_reduce_fast(f)
     if not h.n:
         return h, ()
     g = f.graph

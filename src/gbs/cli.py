@@ -9,14 +9,11 @@ Diagnostics go to stderr; reports are deterministic on stdout.
 from __future__ import annotations
 
 import argparse
-import random
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import britton, conjugacy, gen, graphs, monoid
+from . import britton, conjugacy, graphs, monoid
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -33,15 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(lowest: int):
-    """argparse type for bounds, counts and sizes: an integer >= lowest."""
-
-    def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or int(text) < lowest:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
-        return int(text)
-
-    return parse
+def _bound(text: str) -> int:
+    """argparse type for ``--bound``: an integer >= 0."""
+    if not text.removeprefix("-").isdecimal() or int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -148,60 +141,6 @@ def _cmd_convert(args) -> int:
     return EXIT_YES
 
 
-def _percentiles(samples: list[float]) -> str:
-    if not samples:
-        return "n/a"
-    qs = statistics.quantiles(samples, n=100, method="inclusive") if len(samples) > 1 else [samples[0]] * 99
-    return f"p50={qs[49]*1e3:.3f}ms p90={qs[89]*1e3:.3f}ms p99={qs[98]*1e3:.3f}ms"
-
-
-def _cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    wp_agree = red_agree = conj_agree = 0
-    timings = {"wp": [], "reduce": [], "conj": []}
-    for _ in range(args.count):
-        graph = gen.random_graph(rng, args.max_vertices, args.max_edges, 5)
-        f = gen.random_closed_factorization(rng, graph, args.max_len, args.max_exp)
-
-        t0 = time.perf_counter()
-        fast_trivial = britton.word_problem(f)
-        timings["wp"].append(time.perf_counter() - t0)
-        naive = britton.britton_reduce_naive(f)
-        if fast_trivial == (naive.n == 0 and naive.k0 == 0):
-            wp_agree += 1
-
-        t0 = time.perf_counter()
-        reduced = britton.britton_reduce_fast(f)
-        timings["reduce"].append(time.perf_counter() - t0)
-        if britton.is_britton_reduced(reduced) and britton.word_problem(
-            graphs.concat(reduced, graphs.invert(naive))
-        ):
-            red_agree += 1
-
-        w = gen.conjugated_word(rng, graph, f)
-        t0 = time.perf_counter()
-        res = conjugacy.conjugate(f, w)
-        timings["conj"].append(time.perf_counter() - t0)
-        ok = res.verdict is conjugacy.ConjVerdict.CONJUGATE and conjugacy.verify_conjugator(
-            res.witness, f, w
-        )
-        brute, _ = conjugacy.conj_brute_status(f, w, radius=60)
-        if brute is not conjugacy.ConjVerdict.UNKNOWN:
-            ok = ok and brute is res.verdict
-        if ok:
-            conj_agree += 1
-
-    print(f"seed: {args.seed}")
-    print(f"instances: {args.count}")
-    print(f"word-problem agreement: {wp_agree}/{args.count}")
-    print(f"reduction agreement: {red_agree}/{args.count}")
-    print(f"conjugacy agreement: {conj_agree}/{args.count}")
-    for name, samples in timings.items():
-        print(f"timing {name}: {_percentiles(samples)}", file=sys.stderr)
-    ok = wp_agree == red_agree == conj_agree == args.count
-    return EXIT_YES if ok else EXIT_NO
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,7 +183,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("v")
     p.add_argument("w")
-    p.add_argument("--bound", type=_int_at_least(0), default=None)
+    p.add_argument("--bound", type=_bound, default=None)
     p.add_argument("--witness", action="store_true", help="print a verified conjugator")
     p.set_defaults(func=_cmd_conj)
 
@@ -254,7 +193,7 @@ def _build_parser() -> _Parser:
     m.add_argument("presentation")
     m.add_argument("e")
     m.add_argument("f")
-    m.add_argument("--bound", type=_int_at_least(0), default=None)
+    m.add_argument("--bound", type=_bound, default=None)
     m.set_defaults(func=_cmd_monoid_congruent)
 
     p = sub.add_parser("convert", help="instance converters")
@@ -264,15 +203,6 @@ def _build_parser() -> _Parser:
     c.add_argument("e")
     c.add_argument("f")
     c.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("bench", help="seeded oracle cross-check harness")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_int_at_least(0), default=100)
-    p.add_argument("--max-vertices", type=_int_at_least(1), default=4)
-    p.add_argument("--max-edges", type=_int_at_least(0), default=6)
-    p.add_argument("--max-exp", type=_int_at_least(0), default=8)
-    p.add_argument("--max-len", type=_int_at_least(0), default=14)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import arith, monoid
-from .britton import (
-    _rotate_with_conjugator,
-    britton_reduce_naive,
-    cyclically_reduce_with_conjugator,
-    word_problem,
-)
+from .britton import _rotate_with_conjugator, cyclically_reduce_with_conjugator, word_problem
 from .graphs import (
     EdgeLetter,
     GbsError,
@@ -120,6 +115,29 @@ def hyperbolic_system(v: GFactorization, w: GFactorization) -> Optional[int]:
     return None if rem else c + m * s
 
 
+def _aligned_rotations(path: Sequence[str], wpath: Sequence[str]):
+    """Every r with ``wpath[r:] + wpath[:r] == path``, ascending: one
+    Knuth-Morris-Pratt pass of path over wpath followed by wpath[:-1]."""
+    n = len(path)
+    border = [0] * n  # border[i]: longest proper border of path[:i + 1]
+    b = 0
+    for i in range(1, n):
+        while b and path[i] != path[b]:
+            b = border[b - 1]
+        if path[i] == path[b]:
+            b += 1
+        border[i] = b
+    b = 0
+    for i, name in enumerate(wpath + wpath[:-1]):
+        while b and name != path[b]:
+            b = border[b - 1]
+        if name == path[b]:
+            b += 1
+            if b == n:
+                yield i - n + 1
+                b = border[b - 1]
+
+
 def conj_hyperbolic(
     v: GFactorization, w: GFactorization
 ) -> Optional[tuple[int, int]]:
@@ -132,50 +150,12 @@ def conj_hyperbolic(
             raise WordError("expected a cyclically reduced hyperbolic word")
     if v.n != w.n:
         return None
-    path, wpath = _underlying_path(v), _underlying_path(w)
-    for r in range(w.n):
-        if wpath[r:] + wpath[:r] != path:
-            continue
+    for r in _aligned_rotations(_underlying_path(v), _underlying_path(w)):
         rot, _ = _rotate_with_conjugator(w, r)
         x = hyperbolic_system(v, rot)
         if x is not None:
             return r, x
     return None
-
-
-def _power_match(c1: int, m1: int, c2: int, m2: int) -> bool:
-    """Whether ``c1 * m1^j == c2 * m2^j`` for some j >= 1 (|m1| != |m2|)."""
-    a1, a2 = abs(m1), abs(m2)
-    x, y = c1 * m1, c2 * m2
-    while True:
-        if x == y:
-            return True
-        if a1 > a2 and abs(x) > abs(y):
-            return False
-        if a1 < a2 and abs(x) < abs(y):
-            return False
-        x *= m1
-        y *= m2
-
-
-def conj_elliptic_bs(p: int, q: int, k: int, ell: int) -> bool:
-    """Conjugacy of two vertex powers in the one-loop group
-    ``<a, y | y a^p Y = a^q>``: some power of q/p carries k to ell, with k
-    divisible by p and ell by q for positive powers (swapped for negative)."""
-    if p == 0 or q == 0:
-        raise GbsError("p and q must be nonzero")
-    if k == 0 or ell == 0:
-        return k == ell
-    if k == ell:
-        return True
-    pos_ok = k % p == 0 and ell % q == 0
-    neg_ok = k % q == 0 and ell % p == 0
-    if abs(p) == abs(q):
-        # the ratio has magnitude one; only single steps matter
-        return (pos_ok and k * q == ell * p) or (neg_ok and ell * q == k * p)
-    if pos_ok and _power_match(k, q, ell, p):
-        return True
-    return neg_ok and _power_match(ell, q, k, p)
 
 
 def conj_elliptic(
@@ -261,123 +241,3 @@ def conjugate(
     if not verify_conjugator(witness, v, w):
         raise InternalError("hyperbolic conjugator failed verification")
     return ConjResult(ConjVerdict.CONJUGATE, witness)
-
-
-def elliptic_closure(
-    graph: GbsGraph, vertex: str, k: int, radius: int, node_cap: int = 500_000
-):
-    """Chain-search closure of a vertex power under single edge-letter
-    conjugations with exponents capped at ``radius``.
-
-    Returns ``(parents, capped)`` where parents maps each reached state
-    ``(vertex, exponent)`` to ``(previous state, edge letter)`` (None at the
-    start state) and ``capped`` reports whether anything was pruned.
-    """
-    into: dict[str, list] = {u: [] for u in graph.vertices}
-    for e in graph.edges:
-        into[e.dst].append(e)
-    start = (vertex, k)
-    parents: dict[tuple[str, int], Optional[tuple]] = {start: None}
-    frontier = [start]
-    capped = False
-    while frontier:
-        nxt = []
-        for state in frontier:
-            u, m = state
-            for e in into[u]:
-                if m % e.beta:
-                    continue
-                m2 = e.alpha * (m // e.beta)
-                if abs(m2) > radius:
-                    capped = True
-                    continue
-                s2 = (e.src, m2)
-                if s2 in parents:
-                    continue
-                if len(parents) >= node_cap:
-                    capped = True
-                    continue
-                parents[s2] = (state, e.name)
-                nxt.append(s2)
-        frontier = nxt
-    return parents, capped
-
-
-def _chain_letters(parents, goal) -> tuple[Letter, ...]:
-    letters: list[Letter] = []
-    state = goal
-    while parents[state] is not None:
-        state, name = parents[state]
-        letters.append(EdgeLetter(name))
-    return tuple(letters)
-
-
-def conj_brute_status(
-    v: GFactorization, w: GFactorization, radius: int
-) -> tuple[ConjVerdict, Optional[tuple[Letter, ...]]]:
-    """Search-only conjugacy oracle.
-
-    Elliptic pairs: breadth-first chain search over (vertex, exponent)
-    states; an exhausted closure below the radius is a definitive no.
-    Hyperbolic pairs: scan every rotation and every conjugating power with
-    |x| <= radius; only a found witness decides.  Everything else is
-    UNKNOWN.  Witnesses are verified before being returned.
-    """
-    graph = v.graph
-    vh, zv = cyclically_reduce_with_conjugator(v, reducer=britton_reduce_naive)
-    wh, zw = cyclically_reduce_with_conjugator(w, reducer=britton_reduce_naive)
-    zw_inv = invert_letters(zw, graph)
-
-    if vh.n == 0 and wh.n == 0:
-        parents, capped = elliptic_closure(graph, vh.base, vh.k0, radius)
-        goal = (wh.base, wh.k0)
-        if goal in parents:
-            witness = zw_inv + _chain_letters(parents, goal) + tuple(zv)
-            if verify_conjugator(witness, v, w):
-                return ConjVerdict.CONJUGATE, witness
-            return ConjVerdict.UNKNOWN, None
-        return (ConjVerdict.UNKNOWN if capped else ConjVerdict.NOT_CONJUGATE), None
-
-    if vh.n == 0 or wh.n == 0 or vh.n != wh.n:
-        return ConjVerdict.UNKNOWN, None
-
-    n = vh.n
-    ks = [k for _, k in vh.steps]
-    alpha = [graph.alpha(name) for name, _ in vh.steps]
-    beta = [graph.beta(name) for name, _ in vh.steps]
-    path = _underlying_path(vh)
-    for r in range(n):
-        rot, zr = _rotate_with_conjugator(wh, r)
-        if _underlying_path(rot) != path:
-            continue
-        ls = [k for _, k in rot.steps]
-
-        def works(x: int) -> bool:
-            cur = ks[n - 1] - x - ls[n - 1]
-            for i in range(n - 1, -1, -1):
-                if cur % beta[i]:
-                    return False
-                t = alpha[i] * (cur // beta[i])
-                if i == 0:
-                    return x + t == 0
-                cur = ks[i - 1] - ls[i - 1] + t
-            return False
-
-        step = abs(beta[n - 1])
-        first = -radius + (ks[n - 1] - ls[n - 1] + radius) % step
-        for x in range(first, radius + 1, step):
-            if not works(x):
-                continue
-            middle = (VertexPower(vh.base, x),) if x else ()
-            witness = zw_inv + invert_letters(zr, graph) + middle + tuple(zv)
-            if verify_conjugator(witness, v, w):
-                return ConjVerdict.CONJUGATE, witness
-    return ConjVerdict.UNKNOWN, None
-
-
-def conj_brute(
-    v: GFactorization, w: GFactorization, radius: int
-) -> Optional[tuple[Letter, ...]]:
-    """A verified conjugator found by brute search, or None (inconclusive)."""
-    verdict, witness = conj_brute_status(v, w, radius)
-    return witness if verdict is ConjVerdict.CONJUGATE else None

@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 import string
 
-from .freegroup import FWord
-from .graphs import Edge, GbsGraph, GFactorization, Letter, invert, to_factorization
+from gbs.conjugacy import invert_letters
+from gbs.freegroup import FWord
+from gbs.graphs import Edge, GbsGraph, GFactorization, Letter, invert, to_factorization
 
 
 def _nonzero(rng: random.Random, max_abs: int) -> int:
@@ -98,8 +99,6 @@ def conjugated_word(
     rng: random.Random, graph: GbsGraph, v: GFactorization, max_len: int = 6
 ) -> GFactorization:
     """A word equal to ``z v z^-1`` for a random conjugator z."""
-    from .conjugacy import invert_letters
-
     z = random_conjugator_letters(rng, graph, v.base, max_len)
     letters = list(z) + list(v.letters()) + list(invert_letters(z, graph))
     return to_factorization(letters, graph)

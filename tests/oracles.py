@@ -1,0 +1,262 @@
+"""Reference implementations that the tests compare the fast paths against.
+
+Everything here is deliberately naive: leftmost-first rewriting with list
+deletions, cyclic reduction by rotating the last edge round to the front,
+chain search over vertex powers, brute-force conjugacy over a radius, and the
+closed formula for the one-loop group.  Witnesses are replayed through the
+rewriting reducer.  From ``gbs`` this module uses only the data types and
+word helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
+cross-check never runs the code it checks
+(``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
+"""
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+from gbs.conjugacy import ConjVerdict
+from gbs.graphs import (
+    EdgeLetter,
+    GbsError,
+    GbsGraph,
+    GFactorization,
+    Letter,
+    VertexPower,
+    WordError,
+    invert,
+    to_factorization,
+)
+
+
+def britton_reduce_naive(f: GFactorization) -> GFactorization:
+    """Repeatedly contract the leftmost factor ``y v^k Y`` with beta(y) | k
+    into a vertex power, merging adjacent powers."""
+    g = f.graph
+    exps = [f.k0] + [k for _, k in f.steps]
+    names = [""] + [name for name, _ in f.steps]
+    r = 1
+    while r < len(names) - 1:
+        name = names[r]
+        if names[r + 1] == g.inverse(name) and exps[r] % g.beta(name) == 0:
+            exps[r - 1] += g.alpha(name) * (exps[r] // g.beta(name)) + exps[r + 1]
+            del names[r : r + 2]
+            del exps[r : r + 2]
+            r = max(1, r - 1)
+        else:
+            r += 1
+    return GFactorization(g, f.base, exps[0], tuple(zip(names[1:], exps[1:])))
+
+
+def is_britton_reduced(f: GFactorization) -> bool:
+    """No factor ``y v^k Y`` with beta(y) dividing k."""
+    g = f.graph
+    for r in range(f.n - 1):
+        name, k = f.steps[r]
+        if f.steps[r + 1][0] == g.inverse(name) and k % g.beta(name) == 0:
+            return False
+    return True
+
+
+def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Letter, ...]]:
+    """Cyclic reduction and the letters of z with ``result = z f z^-1``.
+
+    Reduce with the rewriting oracle.  While two or more edges are left,
+    conjugate the last edge and its power round to the front, where it
+    absorbs the leading vertex power, and reduce again; keep the rotation
+    only if the seam pair contracted.  A leftover leading power is finally
+    conjugated onto the last exponent.
+    """
+    if not f.is_closed:
+        raise WordError("cyclic reduction needs a closed factorization")
+    g = f.graph
+    h = britton_reduce_naive(f)
+    z: list[Letter] = []
+    while h.n >= 2:
+        name, k = h.steps[-1]
+        front = GFactorization(g, g.source(name), 0, ((name, k + h.k0),) + h.steps[:-1])
+        rotated = britton_reduce_naive(front)
+        if rotated.n == h.n:
+            break
+        z[:0] = GFactorization(g, g.source(name), 0, ((name, k),)).letters()
+        h = rotated
+    if h.n == 0:
+        return h, tuple(z)
+    c = h.k0
+    (name, k), rest = h.steps[-1], h.steps[:-1]
+    if c:
+        z.insert(0, VertexPower(h.base, -c))
+    return GFactorization(g, h.base, 0, rest + ((name, k + c),)), tuple(z)
+
+
+def _inverse(letters: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
+    return invert(to_factorization(letters, graph)).letters()
+
+
+def replays_to_identity(
+    witness: Sequence[Letter], v: GFactorization, w: GFactorization
+) -> bool:
+    """Whether ``witness v witness^-1 w^-1`` is a closed word that the
+    rewriting oracle reduces to the empty word with exponent zero."""
+    g = v.graph
+    try:
+        letters = tuple(witness) + v.letters() + _inverse(witness, g) + invert(w).letters()
+        f = to_factorization(letters, g)
+    except WordError:
+        return False
+    h = britton_reduce_naive(f)
+    return f.is_closed and h.n == 0 and h.k0 == 0
+
+
+def elliptic_closure(
+    graph: GbsGraph, vertex: str, k: int, radius: int, node_cap: int = 500_000
+):
+    """Chain-search closure of a vertex power under single edge-letter
+    conjugations with exponents capped at ``radius``.
+
+    Returns ``(parents, capped)`` where parents maps each reached state
+    ``(vertex, exponent)`` to ``(previous state, edge letter)`` (None at the
+    start state) and ``capped`` reports whether anything was pruned.
+    """
+    into: dict[str, list] = {u: [] for u in graph.vertices}
+    for e in graph.edges:
+        into[e.dst].append(e)
+    start = (vertex, k)
+    parents: dict[tuple[str, int], Optional[tuple]] = {start: None}
+    frontier = [start]
+    capped = False
+    while frontier:
+        nxt = []
+        for state in frontier:
+            u, m = state
+            for e in into[u]:
+                if m % e.beta:
+                    continue
+                m2 = e.alpha * (m // e.beta)
+                if abs(m2) > radius:
+                    capped = True
+                    continue
+                s2 = (e.src, m2)
+                if s2 in parents:
+                    continue
+                if len(parents) >= node_cap:
+                    capped = True
+                    continue
+                parents[s2] = (state, e.name)
+                nxt.append(s2)
+        frontier = nxt
+    return parents, capped
+
+
+def _chain_letters(parents, goal) -> tuple[Letter, ...]:
+    letters: list[Letter] = []
+    state = goal
+    while parents[state] is not None:
+        state, name = parents[state]
+        letters.append(EdgeLetter(name))
+    return tuple(letters)
+
+
+def conj_brute_status(
+    v: GFactorization, w: GFactorization, radius: int
+) -> tuple[ConjVerdict, Optional[tuple[Letter, ...]]]:
+    """Search-only conjugacy oracle.
+
+    Elliptic pairs: breadth-first chain search over (vertex, exponent)
+    states; an exhausted closure below the radius is a definitive no.
+    Hyperbolic pairs: scan every rotation and every conjugating power with
+    |x| <= radius; only a found witness decides.  Everything else is
+    UNKNOWN.  Witnesses are replayed before being returned.
+    """
+    graph = v.graph
+    vh, zv = cyclically_reduce_naive(v)
+    wh, zw = cyclically_reduce_naive(w)
+    zw_inv = _inverse(zw, graph)
+
+    if vh.n == 0 and wh.n == 0:
+        parents, capped = elliptic_closure(graph, vh.base, vh.k0, radius)
+        goal = (wh.base, wh.k0)
+        if goal in parents:
+            witness = zw_inv + _chain_letters(parents, goal) + zv
+            if replays_to_identity(witness, v, w):
+                return ConjVerdict.CONJUGATE, witness
+            return ConjVerdict.UNKNOWN, None
+        return (ConjVerdict.UNKNOWN if capped else ConjVerdict.NOT_CONJUGATE), None
+
+    if vh.n == 0 or wh.n == 0 or vh.n != wh.n:
+        return ConjVerdict.UNKNOWN, None
+
+    n = vh.n
+    ks = [k for _, k in vh.steps]
+    alpha = [graph.alpha(name) for name, _ in vh.steps]
+    beta = [graph.beta(name) for name, _ in vh.steps]
+    path = [name for name, _ in vh.steps]
+    for r in range(n):
+        steps = wh.steps[r:] + wh.steps[:r]  # the rotation zr wh zr^-1
+        if [name for name, _ in steps] != path:
+            continue
+        zr = GFactorization(graph, graph.source(steps[0][0]), 0, wh.steps[r:]).letters()
+        ls = [k for _, k in steps]
+
+        def works(x: int) -> bool:
+            cur = ks[n - 1] - x - ls[n - 1]
+            for i in range(n - 1, -1, -1):
+                if cur % beta[i]:
+                    return False
+                t = alpha[i] * (cur // beta[i])
+                if i == 0:
+                    return x + t == 0
+                cur = ks[i - 1] - ls[i - 1] + t
+            return False
+
+        step = abs(beta[n - 1])
+        first = -radius + (ks[n - 1] - ls[n - 1] + radius) % step
+        for x in range(first, radius + 1, step):
+            if not works(x):
+                continue
+            middle = (VertexPower(vh.base, x),) if x else ()
+            witness = zw_inv + _inverse(zr, graph) + middle + zv
+            if replays_to_identity(witness, v, w):
+                return ConjVerdict.CONJUGATE, witness
+    return ConjVerdict.UNKNOWN, None
+
+
+def conj_brute(
+    v: GFactorization, w: GFactorization, radius: int
+) -> Optional[tuple[Letter, ...]]:
+    """A replayed conjugator found by brute search, or None (inconclusive)."""
+    verdict, witness = conj_brute_status(v, w, radius)
+    return witness if verdict is ConjVerdict.CONJUGATE else None
+
+
+def _power_match(c1: int, m1: int, c2: int, m2: int) -> bool:
+    """Whether ``c1 * m1^j == c2 * m2^j`` for some j >= 1 (|m1| != |m2|)."""
+    a1, a2 = abs(m1), abs(m2)
+    x, y = c1 * m1, c2 * m2
+    while True:
+        if x == y:
+            return True
+        if a1 > a2 and abs(x) > abs(y):
+            return False
+        if a1 < a2 and abs(x) < abs(y):
+            return False
+        x *= m1
+        y *= m2
+
+
+def conj_elliptic_bs(p: int, q: int, k: int, ell: int) -> bool:
+    """Conjugacy of two vertex powers in the one-loop group
+    ``<a, y | y a^p Y = a^q>``: some power of q/p carries k to ell, with k
+    divisible by p and ell by q for positive powers (swapped for negative)."""
+    if p == 0 or q == 0:
+        raise GbsError("p and q must be nonzero")
+    if k == 0 or ell == 0:
+        return k == ell
+    if k == ell:
+        return True
+    pos_ok = k % p == 0 and ell % q == 0
+    neg_ok = k % q == 0 and ell % p == 0
+    if abs(p) == abs(q):
+        # the ratio has magnitude one; only single steps matter
+        return (pos_ok and k * q == ell * p) or (neg_ok and ell * q == k * p)
+    if pos_ok and _power_match(k, q, ell, p):
+        return True
+    return neg_ok and _power_match(ell, q, k, p)

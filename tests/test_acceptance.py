@@ -3,7 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the per-criterion
 report.  The corpora are seeded and sized as stated in each test; the suite
 is self-contained and compares every fast path against an independent
-brute-force oracle.
+brute-force oracle from ``tests/oracles.py``.
 """
 import random
 import time
@@ -12,26 +12,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbs import gen
 from gbs.arith import solve_congruence
 from gbs.britton import (
     PrefixRatios,
     britton_reduce_fast,
-    britton_reduce_naive,
     color,
     cyclically_reduce_with_conjugator,
-    is_britton_reduced,
     sim_c,
     word_problem,
 )
 from gbs.conjugacy import (
     ConjVerdict,
-    conj_brute_status,
     conj_elliptic,
-    conj_elliptic_bs,
     conj_hyperbolic,
     conjugate,
-    elliptic_closure,
     verify_conjugator,
 )
 from gbs.freegroup import (
@@ -57,7 +51,16 @@ from gbs.monoid import (
     monoid_to_gbs,
     replay_path,
 )
+import gen
 from conftest import EXAMPLE_WORD
+from oracles import (
+    britton_reduce_naive,
+    conj_brute_status,
+    conj_elliptic_bs,
+    cyclically_reduce_naive,
+    elliptic_closure,
+    is_britton_reduced,
+)
 
 
 def report(n, msg):
@@ -129,6 +132,12 @@ def test_criterion_3_britton_reduction_equivalence(wp_corpus):
             agree += 1
     assert agree == len(wp_corpus)
     report(3, f"fast reduction Britton-reduced and oracle-equal: {agree}/10000")
+
+
+def test_cyclic_reduction_equals_oracle(wp_corpus):
+    # byte for byte: the cyclically reduced form and the conjugator letters
+    for f in wp_corpus:
+        assert cyclically_reduce_with_conjugator(f) == cyclically_reduce_naive(f), str(f)
 
 
 def test_criterion_4_free_reduction_equivalence():

@@ -1,13 +1,11 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gbs.arith import (
     ArithError,
-    ExactRational,
     FactoredInt,
     PrimeSet,
     factor_over,
@@ -139,55 +137,6 @@ def test_solve_congruence_gives_real_solutions(a, b, m):
     assert (a * s0 - b) % m == 0
     # the step is the smallest shift that keeps a solution a solution
     assert step == abs(m) // g
-
-
-rationals = st.builds(
-    ExactRational,
-    st.integers(min_value=-10**6, max_value=10**6),
-    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
-)
-
-
-@given(rationals, rationals)
-def test_rational_arithmetic_matches_fraction(a, b):
-    fa, fb = Fraction(a.num, a.den), Fraction(b.num, b.den)
-    assert Fraction((a + b).num, (a + b).den) == fa + fb
-    assert Fraction((a - b).num, (a - b).den) == fa - fb
-    assert Fraction((a * b).num, (a * b).den) == fa * fb
-    if b.num:
-        assert Fraction((a / b).num, (a / b).den) == fa / fb
-
-
-@given(rationals, rationals)
-def test_rational_equality_is_cross_multiplication(a, b):
-    assert (a == b) == (Fraction(a.num, a.den) == Fraction(b.num, b.den))
-
-
-@given(rationals, st.integers(min_value=1, max_value=50))
-def test_rational_equality_ignores_scaling(a, s):
-    assert a == ExactRational(a.num * s, a.den * s)
-    assert hash(a) == hash(ExactRational(a.num * s, a.den * s))
-
-
-@given(rationals)
-def test_rational_integrality(a):
-    assert a.is_integer() == (Fraction(a.num, a.den).denominator == 1)
-    if a.is_integer():
-        assert a.as_integer() == Fraction(a.num, a.den)
-        assert a.divisible_by(3) == (a.as_integer() % 3 == 0)
-
-
-def test_rational_stays_unreduced_until_threshold():
-    r = ExactRational(4, 6)
-    assert (r.num, r.den) == (4, 6)
-    assert str(r) == "4/6"
-    big = ExactRational(2 ** 5000, 2 ** 5001)
-    assert (big.num, big.den) == (1, 2)
-
-
-def test_rational_rejects_zero_denominator():
-    with pytest.raises(ArithError):
-        ExactRational(1, 0)
 
 
 def test_factored_int_fields():

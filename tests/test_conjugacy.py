@@ -2,17 +2,13 @@ import random
 
 import pytest
 
-from gbs import gen
 from gbs.britton import cyclically_reduce_with_conjugator
 from gbs.conjugacy import (
     ConjVerdict,
-    conj_brute,
-    conj_brute_status,
+    _aligned_rotations,
     conj_elliptic,
-    conj_elliptic_bs,
     conj_hyperbolic,
     conjugate,
-    elliptic_closure,
     verify_conjugator,
 )
 from gbs.graphs import (
@@ -24,7 +20,9 @@ from gbs.graphs import (
     parse_graph,
     parse_word,
 )
+import gen
 from conftest import fact
+from oracles import conj_brute, conj_brute_status, conj_elliptic_bs, elliptic_closure
 
 
 def test_conjugate_hyperbolic_example(bs23):
@@ -98,6 +96,33 @@ def test_conj_hyperbolic_congruence_branch():
     assert conj_brute(v, w_no, 300) is None
 
 
+def _rotation_paths(rng):
+    """Random paths, proper powers of a short unit and periodic paths whose
+    period does not divide their length, over alphabets of one to four
+    letters."""
+    for _ in range(300):
+        alphabet = "yYzZ"[: rng.randint(1, 4)]
+        unit = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        yield tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
+        yield unit * rng.randint(2, 8)
+        yield unit * rng.randint(1, 6) + unit[: rng.randint(1, len(unit))]
+
+
+def test_aligned_rotations_match_a_plain_scan():
+    rng = random.Random(4242)
+    hits = 0
+    for path in _rotation_paths(rng):
+        n = len(path)
+        changed = list(path)
+        changed[rng.randrange(n)] = rng.choice("yYzZ")
+        r = rng.randrange(n)
+        for wpath in (path, path[r:] + path[:r], tuple(changed), tuple(changed[r:] + changed[:r])):
+            scan = [s for s in range(n) if wpath[s:] + wpath[:s] == path]
+            assert list(_aligned_rotations(path, wpath)) == scan, (path, wpath)
+            hits += len(scan)
+    assert hits > 3000
+
+
 def _odd_exponent_loop(rng, graph, path):
     # odd exponents keep every y v^k Y with beta in {2, 4} uncontracted, so
     # the word is cyclically reduced with exactly this underlying path
@@ -114,22 +139,31 @@ def _scale_pairs():
     bs_path = [rng.choice("yY") for _ in range(1000)]
     loops_path = [rng.choice("yZ") for _ in range(500)] + [rng.choice("Yz") for _ in range(500)]
     rng.shuffle(loops_path)
-    return [
-        pytest.param(bs22, _odd_exponent_loop(rng, bs22, bs_path), True, id="bs22"),
+    pairs = [
+        pytest.param(bs22, _odd_exponent_loop(rng, bs22, bs_path), None, True, id="bs22"),
         pytest.param(
-            two_loops, _odd_exponent_loop(rng, two_loops, loops_path), False, id="two-loops"
+            two_loops, _odd_exponent_loop(rng, two_loops, loops_path), None, False,
+            id="two-loops",
         ),
     ]
+    # w is v rotated by n/3: the rotation search has to reach that far
+    long_path = [rng.choice("yY") for _ in range(16_000)]
+    v = _odd_exponent_loop(rng, bs22, long_path)
+    pairs.append(pytest.param(bs22, v, 16_000 // 3, True, id="bs22-n16000-rotated"))
+    return pairs
 
 
-@pytest.mark.parametrize("graph, v, abelian_negative", _scale_pairs())
-def test_hyperbolic_conjugacy_at_scale_with_ratio_product_one(graph, v, abelian_negative):
+@pytest.mark.parametrize("graph, v, shift, abelian_negative", _scale_pairs())
+def test_hyperbolic_conjugacy_at_scale_with_ratio_product_one(graph, v, shift, abelian_negative):
     rng = random.Random(7)
-    path = tuple(name for name, _ in v.steps)
-    assert sum(path[r:] + path[:r] == path for r in range(v.n)) == 1  # not periodic
+    path = "".join(name for name, _ in v.steps)  # one-letter edge names
+    assert (path + path).find(path, 1) == len(path)  # not periodic
     vh, _ = cyclically_reduce_with_conjugator(v)
-    assert vh.n == 1000
-    w = gen.conjugated_word(rng, graph, v)
+    assert vh == v
+    if shift is None:
+        w = gen.conjugated_word(rng, graph, v)
+    else:
+        w = GFactorization(graph, "a", 0, v.steps[shift:] + v.steps[:shift])
     res = conjugate(v, w)
     assert res.verdict is ConjVerdict.CONJUGATE
     assert verify_conjugator(res.witness, v, w)
@@ -137,7 +171,7 @@ def test_hyperbolic_conjugacy_at_scale_with_ratio_product_one(graph, v, abelian_
         # on bs 2 2 the a-exponent sum is an abelianization invariant, so
         # moving one odd exponent by 2 certifies a non-conjugate pair
         steps = list(v.steps)
-        steps[500] = (steps[500][0], steps[500][1] + 2)
+        steps[v.n // 2] = (steps[v.n // 2][0], steps[v.n // 2][1] + 2)
         u = GFactorization(graph, "a", 0, tuple(steps))
         assert conjugate(v, u).verdict is ConjVerdict.NOT_CONJUGATE
         assert conjugate(u, w).verdict is ConjVerdict.NOT_CONJUGATE

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbs import britton, gen, graphs
+from gbs import britton, graphs
 from gbs.cli import main
 from gbs.graphs import (
     Edge,
@@ -27,6 +27,7 @@ from gbs.graphs import (
     tree_path,
     validate,
 )
+import gen
 from conftest import AMALGAM, BS23, EXAMPLE_WORD, TRIANGLE, fact
 
 

@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from gbs import gen
 from gbs.graphs import parse_graph
 from gbs.monoid import (
     MonPresentation,
@@ -19,6 +18,7 @@ from gbs.monoid import (
     monoid_to_gbs,
     replay_path,
 )
+import gen
 
 sympy = pytest.importorskip("sympy")
 

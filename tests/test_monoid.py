@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbs import gen, monoid
+from gbs import monoid
 from gbs.conjugacy import ConjVerdict, conjugate
 from gbs.graphs import GbsError, GFactorization, InternalError
 from gbs.monoid import (
@@ -16,6 +16,7 @@ from gbs.monoid import (
     parse_vector,
     replay_path,
 )
+import gen
 
 SWAP = MonPresentation(2, (((1, 0), (0, 1)),))
 

@@ -32,3 +32,28 @@ def test_production_imports_are_stdlib_only():
                 if top != "gbs" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno}: {module}")
     assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_oracles_share_no_code_with_the_fast_paths():
+    # a cross-check is only worth something while the two sides are
+    # independent: besides the standard library, the oracles import the data
+    # types and word helpers of gbs.graphs and the verdict enum, never a
+    # reducer, walk or verifier (nor gen, which imports gbs.conjugacy).  The
+    # other way round, the stdlib-only guard above already keeps src/gbs from
+    # importing oracles or gen, which are not in the standard library.
+    path = SRC.parent.parent / "tests" / "oracles.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            imported = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [(node.module or "", {alias.name for alias in node.names})]
+        else:
+            continue
+        for module, names in imported:
+            if module == "gbs.graphs" or module.split(".")[0] in sys.stdlib_module_names:
+                continue
+            if module == "gbs.conjugacy" and names == {"ConjVerdict"}:
+                continue
+            found.append(f"oracles.py:{node.lineno}: {module} {sorted(names or ())}")
+    assert not found, found
