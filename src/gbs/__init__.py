@@ -10,7 +10,7 @@ The paper's colouring construction lives in ``gbs.britton`` and
 paths against the reference implementations in ``tests/oracles.py``.
 """
 
-from .arith import FactoredInt, PrimeSet, factor_over, solve_congruence, valuation
+from .arith import solve_congruence
 from .britton import (
     britton_reduce_fast,
     cyclically_reduce,

@@ -5,11 +5,12 @@ power) or hyperbolic (at least one edge).  Hyperbolic pairs are decided by
 rotating one operand over the other and, for each rotation with the same
 underlying path, walking the loop once with integers to find the conjugating
 vertex power: one linear congruence per edge and one closing equation.
-Elliptic pairs reduce to a commutative-monoid congruence over the graph's
-primes, decided by completion; only a caller's coordinate bound can stop it
-short, so the verdict is three-valued.  Every positive answer carries a
-conjugator witness that is verified against the word problem; a witness
-that fails raises :class:`InternalError`, never a negative verdict.
+Elliptic pairs reduce to a commutative-monoid congruence of exponent
+vectors over a coprime basis of the edge labels, built by gcds, decided by
+completion; only a caller's coordinate bound can stop it short, so the
+verdict is three-valued.  Every positive answer carries a conjugator
+witness that is verified against the word problem; a witness that fails
+raises :class:`InternalError`, never a negative verdict.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .graphs import (
     Letter,
     VertexPower,
     WordError,
+    concat,
     invert,
     spanning_tree,
     to_factorization,
@@ -62,19 +64,14 @@ def verify_conjugator(
     witness: Sequence[Letter], v: GFactorization, w: GFactorization
 ) -> bool:
     """Whether ``witness * v * witness^-1 * w^-1`` is a valid closed word
-    representing the identity."""
-    graph = v.graph
-    letters = (
-        list(witness)
-        + list(v.letters())
-        + list(invert_letters(witness, graph))
-        + list(invert(w).letters())
-    )
+    representing the identity.  The witness must run from w's base to v's;
+    the zero power in front pins its start there, also when it is empty,
+    and :func:`concat` checks every seam, so the joined word is closed."""
     try:
-        f = to_factorization(letters, graph)
+        z = to_factorization((VertexPower(w.base, 0), *witness), v.graph)
+        return word_problem(concat(z, v, invert(z), invert(w)))
     except WordError:
         return False
-    return f.is_closed and word_problem(f)
 
 
 def _underlying_path(f: GFactorization) -> tuple[str, ...]:
@@ -166,23 +163,24 @@ def conj_elliptic(
     graph: GbsGraph,
     bound: Optional[int] = None,
 ) -> ConjResult:
-    """Conjugacy of the vertex powers ``a^k`` and ``b^ell``: residuals over
-    the graph's primes must agree, and the exponent vectors must be
-    congruent in the derived monoid; a congruence path maps back to an
-    edge-letter conjugator.  ``bound`` caps the completion's coordinates
-    (see :func:`monoid.congruent`); when it stops the completion short, the
-    verdict is UNKNOWN."""
+    """Conjugacy of the vertex powers ``a^k`` and ``b^ell``: the residuals
+    that the coprime basis of the labels leaves must agree, and the exponent
+    vectors must be congruent in the derived monoid (see
+    :class:`monoid.MonoidEncoding`); a congruence path maps back to an
+    edge-letter conjugator.  ``bound`` caps the completion's coordinates,
+    the sign and basis exponents (see :func:`monoid.congruent`); when it
+    stops the completion short, the verdict is UNKNOWN."""
     if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
         path = tree_path(graph, spanning_tree(graph), b, a)
         return ConjResult(ConjVerdict.CONJUGATE, tuple(EdgeLetter(name) for name in path))
     if k == 0 or ell == 0:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="only 1 is conjugate to 1")
     enc = monoid.gbs_to_monoid(graph)
-    fk = arith.factor_over(k, enc.primes)
-    fl = arith.factor_over(ell, enc.primes)
-    if fk.residual != fl.residual:
+    rk, e = enc.split(a, k)
+    rl, f = enc.split(b, ell)
+    if rk != rl:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="residual mismatch")
-    res = monoid.congruent(enc.encode(a, k), enc.encode(b, ell), enc.presentation, bound)
+    res = monoid.congruent(e, f, enc.presentation, bound)
     if res.verdict is monoid.Verdict.NOT_CONGRUENT:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason=res.reason)
     if res.verdict is monoid.Verdict.UNKNOWN:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import arith
-
 
 class GbsError(ValueError):
     """Base class for input and structure errors."""
@@ -73,7 +71,6 @@ class GbsGraph:
         for e in self.edges:
             if e.src in self._out:
                 self._out[e.src].append(e.name)
-        self._primes: Optional[arith.PrimeSet] = None
 
     def __eq__(self, other):
         return (
@@ -117,15 +114,6 @@ class GbsGraph:
 
     def out_edges(self, v: str) -> tuple[str, ...]:
         return tuple(self._out.get(v, ()))
-
-    def prime_set(self) -> arith.PrimeSet:
-        """The sign prime -1 followed by all primes dividing any edge label."""
-        if self._primes is None:
-            ps: set[int] = set()
-            for e in self.edges:
-                ps.update(arith.prime_factors(e.alpha))
-            self._primes = arith.PrimeSet((-1,) + tuple(sorted(ps)))
-        return self._primes
 
     def to_text(self) -> str:
         lines = [f"vertex {v}" for v in self.vertices]
@@ -489,17 +477,22 @@ def invert(f: GFactorization) -> GFactorization:
 
 
 def concat(*parts: GFactorization) -> GFactorization:
-    """Concatenate factorizations along matching endpoints."""
+    """Concatenate factorizations along matching endpoints; at each seam the
+    power that opens a part joins the last exponent before it."""
     if not parts:
         raise WordError("nothing to concatenate")
-    letters: list[Letter] = []
-    for p in parts:
-        letters.extend(p.letters())
-    out = to_factorization(letters, parts[0].graph)
-    if not out.steps and all(not p.steps for p in parts):
-        # keep the left base for pure vertex powers
-        return GFactorization(parts[0].graph, parts[0].base, out.k0, ())
-    return out
+    first = parts[0]
+    k0, steps, end = first.k0, list(first.steps), first.end
+    for p in parts[1:]:
+        if p.base != end:
+            raise WordError(f"a word from {p.base} does not continue the path at {end}")
+        if steps:
+            steps[-1] = (steps[-1][0], steps[-1][1] + p.k0)
+        else:
+            k0 += p.k0
+        steps += p.steps
+        end = p.end
+    return GFactorization(first.graph, first.base, k0, tuple(steps))
 
 
 def spanning_tree(graph: GbsGraph) -> frozenset:

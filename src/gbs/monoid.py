@@ -330,36 +330,49 @@ def format_vector(vec: ExpVec) -> str:
     return ",".join(str(x) for x in vec)
 
 
+def _split(k: int, basis: tuple[int, ...], vertices: tuple[str, ...], vertex: str):
+    residual, exps = arith.split(k, basis)
+    return residual, (int(k < 0),) + exps + tuple(int(v == vertex) for v in vertices)
+
+
 @dataclass(frozen=True)
 class MonoidEncoding:
     """Elliptic conjugacy of a graph of groups as a monoid congruence.
 
-    Exponent vectors have one slot per prime (the sign prime -1 first) and
-    one unit slot per vertex.  Each inverse-edge pair contributes one
-    relation identifying alpha at the source with beta at the target; each
-    vertex gets a sign relation absorbing squared signs.  Every relation
-    side holds one vertex unit, so the vertex slots are the presentation's
-    units: the completion for a vertex power never resolves a critical pair
-    of two different vertices.  ``step_letters``
-    maps a relation applied r->s to the conjugating edge letter (None for
-    sign relations); the reverse application conjugates by the inverse edge.
+    ``basis`` is a coprime basis of the edge labels, built by gcds
+    (:func:`arith.coprime_basis`): pairwise coprime, every label plus or
+    minus a product of their powers.  Exponent vectors have a sign slot,
+    one slot per basis element and one unit slot per vertex.  As the basis
+    is coprime, alpha divides k exactly when k's basis exponents dominate
+    alpha's, and the residual of k that no basis element divides is kept by
+    every move.  Each inverse-edge pair contributes one relation identifying
+    alpha at the source with beta at the target; each vertex gets a sign
+    relation absorbing squared signs.  Every relation side holds one vertex
+    unit, so the vertex slots are the presentation's units: the completion
+    for a vertex power never resolves a critical pair of two different
+    vertices.  ``step_letters`` maps a relation applied r->s to the
+    conjugating edge letter (None for sign relations); the reverse
+    application conjugates by the inverse edge.
     """
 
     graph: GbsGraph
     presentation: MonPresentation
-    primes: arith.PrimeSet
+    basis: tuple[int, ...]
     vertices: tuple[str, ...]
     step_letters: tuple[Optional[str], ...]
 
-    def encode(self, vertex: str, k: int) -> ExpVec:
-        """Vector of a nonzero vertex power: prime exponents of k, then the
-        unit vector of the vertex.  The coprime residual is dropped; compare
-        residuals separately."""
+    def split(self, vertex: str, k: int) -> tuple[int, ExpVec]:
+        """The residual of a nonzero vertex power's exponent k and its
+        vector: the sign bit, the exponents of k over the basis, then the
+        unit vector of the vertex.  Two powers with different residuals are
+        never conjugate."""
         if vertex not in self.vertices:
             raise GbsError(f"unknown vertex {vertex!r}")
-        fact = arith.factor_over(k, self.primes)
-        unit = tuple(1 if v == vertex else 0 for v in self.vertices)
-        return fact.exps + unit
+        return _split(k, self.basis, self.vertices, vertex)
+
+    def encode(self, vertex: str, k: int) -> ExpVec:
+        """The vector of :meth:`split`, without the residual."""
+        return self.split(vertex, k)[1]
 
     def conjugator_letter(self, step: PathStep) -> Optional[Letter]:
         idx, direction = step
@@ -386,30 +399,26 @@ def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
     """Derive the congruence presentation whose word problem mirrors
     elliptic conjugacy in the graph of groups.  The graph is taken as valid
     (see ``graphs.validate``), as ``graphs.parse_graph`` returns it."""
-    primes = graph.prime_set()
+    basis = arith.coprime_basis(e.alpha for e in graph.edges)
     vertices = graph.vertices
-    m = len(primes)
-    dim = m + len(vertices)
-
-    def vec(value: int, vertex: str) -> ExpVec:
-        exps = arith.factor_over(value, primes).exps
-        return exps + tuple(1 if v == vertex else 0 for v in vertices)
-
+    m = 1 + len(basis)  # the sign slot, then the basis
     relations: list[tuple[ExpVec, ExpVec]] = []
     letters: list[Optional[str]] = []
     for name in orientation(graph):
         e = graph.edge(name)
-        relations.append((vec(e.alpha, e.src), vec(e.beta, e.dst)))
+        _, r = _split(e.alpha, basis, vertices, e.src)
+        _, s = _split(e.beta, basis, vertices, e.dst)
+        relations.append((r, s))
         letters.append(name)
-    sign_one = tuple(2 if i == 0 else 0 for i in range(m))
+    sign_one = (2,) + (0,) * (m - 1)
     for v in vertices:
         unit = tuple(1 if u == v else 0 for u in vertices)
         relations.append((sign_one + unit, (0,) * m + unit))
         letters.append(None)
     return MonoidEncoding(
         graph,
-        MonPresentation(dim, tuple(relations), len(vertices)),
-        primes,
+        MonPresentation(m + len(vertices), tuple(relations), len(vertices)),
+        basis,
         vertices,
         tuple(letters),
     )

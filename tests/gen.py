@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import string
+from typing import Optional, Sequence
 
 from gbs.conjugacy import invert_letters
 from gbs.freegroup import FWord
@@ -23,9 +24,11 @@ def random_graph(
     max_vertices: int = 4,
     max_edge_pairs: int = 6,
     max_label: int = 5,
+    labels: Optional[Sequence[int]] = None,
 ) -> GbsGraph:
     """A connected graph with an involution: a random tree plus extra pairs,
-    alpha and beta drawn from the nonzero integers up to ``max_label``."""
+    alpha and beta drawn from ``labels`` when given, else from the nonzero
+    integers up to ``max_label``."""
     nv = rng.randint(1, max_vertices)
     vertices = tuple(string.ascii_lowercase[i] for i in range(nv))
     endpoints = []
@@ -36,7 +39,10 @@ def random_graph(
         endpoints.append((rng.choice(vertices), rng.choice(vertices)))
     edges = []
     for t, (u, v) in enumerate(endpoints):
-        a, b = _nonzero(rng, max_label), _nonzero(rng, max_label)
+        if labels is None:
+            a, b = _nonzero(rng, max_label), _nonzero(rng, max_label)
+        else:
+            a, b = rng.choice(labels), rng.choice(labels)
         edges.append(Edge(f"y{t}", u, v, a, b, f"Y{t}"))
         edges.append(Edge(f"Y{t}", v, u, b, a, f"y{t}"))
     return GbsGraph(vertices, tuple(edges))

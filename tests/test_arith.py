@@ -4,70 +4,94 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gbs.arith import (
-    ArithError,
-    FactoredInt,
-    PrimeSet,
-    factor_over,
-    first_primes,
-    is_prime,
-    prime_factors,
-    solve_congruence,
-    valuation,
-)
+from gbs.arith import ArithError, coprime_basis, first_primes, solve_congruence, split
 
-P23 = PrimeSet((2, 3))
-SP23 = PrimeSet((-1, 2, 3))
-
-
-def test_valuation_examples():
-    assert valuation(24, 2) == 3
-    assert valuation(-5, -1) == 1
-    assert valuation(5, -1) == 0
-    assert valuation(7, 2) == 0
-
-
-def test_valuation_rejects_zero():
-    with pytest.raises(ArithError):
-        valuation(0, 2)
-
-
-def test_factor_over_examples():
-    f = factor_over(-24, SP23)
-    assert (f.residual, f.exps) == (1, (1, 3, 1))
-    f = factor_over(30, P23)
-    assert (f.residual, f.exps) == (5, (1, 1))
-    f = factor_over(7, P23)
-    assert (f.residual, f.exps) == (7, (0, 0))
-
-
-def test_factor_over_rejects_zero_and_bare_negative():
-    with pytest.raises(ArithError):
-        factor_over(0, P23)
-    with pytest.raises(ArithError):
-        factor_over(-6, P23)
-
-
-@given(st.integers(min_value=-10**12, max_value=10**12).filter(bool))
-def test_factor_round_trip(k):
-    assert factor_over(k, SP23).value() == k
-
-
-def test_prime_set_validation():
-    with pytest.raises(ArithError):
-        PrimeSet((2, 2))
-    with pytest.raises(ArithError):
-        PrimeSet((2, -1))
-    with pytest.raises(ArithError):
-        PrimeSet((4,))
-    assert PrimeSet(()).real_primes == ()
+try:  # optional, as in tests/test_groebner.py; the package never imports it
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def test_prime_helpers():
     assert first_primes(5) == (2, 3, 5, 7, 11)
-    assert prime_factors(360) == (2, 3, 5)
-    assert prime_factors(-1) == ()
-    assert is_prime(97) and not is_prime(91)
+    assert first_primes(0) == ()
+    assert len(first_primes(25)) == 25 and first_primes(25)[-1] == 97
+
+
+def test_coprime_basis_examples():
+    assert coprime_basis([6, 4]) == (2, 3)
+    assert coprime_basis([12]) == (12,)
+    assert coprime_basis([36, 6, -6]) == (6,)
+    assert coprime_basis([8, 12]) == (2, 3)
+    assert coprime_basis([-12, 18, 50]) == (2, 3, 25)  # 50 = 2 * 25
+    assert coprime_basis([1, -1]) == coprime_basis([]) == ()
+    with pytest.raises(ArithError):
+        coprime_basis([3, 0])
+
+
+def test_valuation_examples():
+    # split's exponents are the valuations of k at the basis elements
+    assert split(-24, (2, 3)) == (1, (3, 1))
+    assert split(30, (2, 3)) == (5, (1, 1))
+    assert split(7, (2, 3)) == (7, (0, 0))
+    assert split(360, (2, 3)) == (5, (3, 2))
+    # a residual may share a factor with a basis element it is not divisible by
+    assert split(72, (6,)) == (2, (2,))
+    assert split(5, ()) == (5, ())
+
+
+def test_valuation_rejects_zero():
+    with pytest.raises(ArithError):
+        split(0, (2, 3))
+
+
+SMALL_PRIMES = first_primes(8)
+# nonzero integers, many of them composites of a few shared small primes
+NONZERO = st.one_of(
+    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6).map(math.prod),
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=2, max_value=10**40),
+).flatmap(lambda n: st.sampled_from((n, -n)))
+NUMBERS = st.lists(NONZERO, max_size=6)
+
+
+@given(NUMBERS)
+def test_coprime_basis_is_pairwise_coprime(numbers):
+    basis = coprime_basis(numbers)
+    assert all(b > 1 for b in basis) and list(basis) == sorted(basis)
+    for i, b in enumerate(basis):
+        for c in basis[i + 1:]:
+            assert math.gcd(b, c) == 1
+
+
+@given(NUMBERS)
+def test_every_input_is_a_product_of_basis_powers(numbers):
+    basis = coprime_basis(numbers)
+    for n in numbers:
+        residual, exps = split(n, basis)
+        assert residual == 1
+        assert math.prod(b**e for b, e in zip(basis, exps)) == abs(n)
+
+
+@given(NUMBERS, NONZERO)
+def test_factor_round_trip(numbers, k):
+    basis = coprime_basis(numbers)
+    residual, exps = split(k, basis)
+    assert len(exps) == len(basis)
+    assert residual * math.prod(b**e for b, e in zip(basis, exps)) == abs(k)
+    assert all(residual % b for b in basis)
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+@given(st.lists(st.one_of(
+    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6).map(math.prod),
+    st.integers(min_value=-10**12, max_value=10**12).filter(bool),
+), max_size=6))
+def test_basis_is_no_larger_than_the_set_of_primes(numbers):
+    primes = set()
+    for n in numbers:
+        primes.update(sympy.factorint(abs(n)))
+    assert len(coprime_basis(numbers)) <= len(primes)
 
 
 def _brute_solutions(a, b, m):
@@ -137,8 +161,3 @@ def test_solve_congruence_gives_real_solutions(a, b, m):
     assert (a * s0 - b) % m == 0
     # the step is the smallest shift that keeps a solution a solution
     assert step == abs(m) // g
-
-
-def test_factored_int_fields():
-    f = factor_over(360, SP23)
-    assert f == FactoredInt(5, (0, 3, 2), SP23)

@@ -237,6 +237,31 @@ def test_exponent_of_5000_digits_parses(capsys, bs_path):
     assert code == 0 and out.strip() == "trivial"
 
 
+# two primes of 40 digits: their product has no factor a trial division could find
+P40 = 10**39 + 3
+Q40 = 3 * 10**39 + 37
+
+
+def test_elliptic_conj_on_a_product_of_two_40_digit_primes(capsys, tmp_path):
+    # y a^2 Y = a^N: a^4 ~ a^(N^2) through y y, while a^4 and a^N are apart,
+    # as every move keeps the sum of the exponents over the basis {2, N}
+    from gbs import graphs
+    from oracles import replays_to_identity
+
+    n = P40 * Q40
+    p = tmp_path / "g.graph"
+    p.write_text(f"bs 2 {n}\n")
+    code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^4", f"a^{n * n}")
+    assert code == 0 and err == ""
+    verdict, witness = out.strip().splitlines()
+    assert verdict == "conjugate"
+    g = graphs.parse_graph(p.read_text())
+    v, w = (graphs.parse_factorization(t, g) for t in ("a^4", f"a^{n * n}"))
+    assert replays_to_identity(graphs.parse_word(witness, g), v, w)
+    code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^4", f"a^{n}")
+    assert code == 1 and err == "" and out.strip() == "not-conjugate"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

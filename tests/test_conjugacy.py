@@ -332,6 +332,56 @@ def test_conj_elliptic_constructed_chains():
         done += 1
 
 
+COMPOSITE_LABELS = (4, 6, 12, 18, 36, 50)
+
+
+def test_conj_elliptic_matches_chain_search_on_shared_composite_labels():
+    # labels share the factors 2, 3 and 5, so the coprime basis is not the
+    # set of labels; half the queries walk a power along edges (positives)
+    rng = random.Random(3600)
+    labels = COMPOSITE_LABELS + tuple(-x for x in COMPOSITE_LABELS)
+    counts = {ConjVerdict.CONJUGATE: 0, ConjVerdict.NOT_CONJUGATE: 0}
+    walked = 0
+    for _ in range(250):
+        g = gen.random_graph(rng, max_vertices=3, max_edge_pairs=3, labels=labels)
+        into = {u: [e for e in g.edges if e.dst == u] for u in g.vertices}
+        for _ in range(4):
+            a = rng.choice(g.vertices)
+            k = rng.choice(labels) * rng.choice((1, 2, 3, 5)) * rng.choice((1, 7))
+            b, ell = rng.choice(g.vertices), rng.choice(labels) * rng.choice((1, 2, 3))
+            if rng.random() < 0.5:
+                b, ell = a, k
+                for _ in range(rng.randint(1, 4)):
+                    options = [e for e in into[b] if ell % e.beta == 0]
+                    if options:
+                        e = rng.choice(options)
+                        b, ell = e.src, e.alpha * (ell // e.beta)
+                walked += (b, ell) != (a, k)
+            res = conj_elliptic(a, k, b, ell, g)  # verifies its own witness
+            parents, capped = elliptic_closure(g, a, k, radius=10**9, node_cap=5_000)
+            if (b, ell) in parents:
+                assert res.verdict is ConjVerdict.CONJUGATE, (g.edges, a, k, b, ell)
+            elif not capped:
+                assert res.verdict is ConjVerdict.NOT_CONJUGATE, (g.edges, a, k, b, ell)
+            else:
+                continue
+            counts[res.verdict] += 1
+    assert walked > 200
+    assert counts[ConjVerdict.CONJUGATE] > 300 and counts[ConjVerdict.NOT_CONJUGATE] > 200, counts
+
+
+def test_verify_conjugator_rejects_broken_witnesses(amalgam):
+    # t b^3 T = a^2, so T conjugates a^2 to b^3: T a^2 t = b^3
+    v, w = fact(amalgam, "a^2"), fact(amalgam, "b^3")
+    assert verify_conjugator(parse_word("T", amalgam), v, w)
+    assert verify_conjugator(parse_word("b^5 T a^-1", amalgam), v, w)
+    assert not verify_conjugator(parse_word("T", amalgam), v, fact(amalgam, "b^6"))  # not 1
+    assert not verify_conjugator(parse_word("t", amalgam), v, w)  # starts off w's base
+    assert not verify_conjugator(parse_word("T T", amalgam), v, w)  # not a path
+    assert not verify_conjugator((), v, w)  # does not close up
+    assert not verify_conjugator(parse_word("T", amalgam), v, fact(amalgam, "t b^3 T"))  # w at a
+
+
 def test_one_loop_hyperbolic_sweep():
     rng = random.Random(8128)
     nonzero = [x for x in range(-3, 4) if x]

@@ -2,11 +2,11 @@
 a call returns or raises ``GbsError``, and ``main`` exits with a documented
 code without printing a traceback or reporting an internal error.
 
-Generated numbers stay small, because a label or exponent of hundreds of
-digits is valid input whose prime factorization could take any time.
+``main`` also gets graph labels and word exponents of 100 to 120 digits.
 """
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -73,10 +73,24 @@ COMMANDS = [
     ["bench", "--count", "1"], ["bogus"], [],
 ]
 # --help is left out: argparse prints the help and raises SystemExit(0) by design
+# BIG in a token stands for a drawn number of 100 or more digits, and
+# big.graph is a bs graph with two such labels, written for each example
 ARG_TOKENS = list(FILES) + [
-    "missing.graph", ".", "--literal", "--pi1", "--base", "--bound", "--witness", "--count",
-    "--seed", "--max-len", "-1", "0", "2", "1,1", "0,2", "a^2", "a^3", "y a Y", "t", "b^2",
+    "missing.graph", "big.graph", ".", "--literal", "--pi1", "--base", "--bound", "--witness",
+    "--count", "--seed", "--max-len", "-1", "0", "2", "1,1", "0,2", "a^2", "a^3", "y a Y", "t",
+    "b^2", "a^BIG", "a^-BIG", "y a^BIG Y a^2", "BIG",
 ]
+BIG = st.one_of(
+    st.integers(min_value=10**99, max_value=10**120),
+    # seeded uniform draws, which almost always hold two prime factors of
+    # dozens of digits; hypothesis' own integers tend to have small factors
+    st.integers(0, 2**32).map(lambda seed: random.Random(seed).randrange(10**99, 10**120)),
+    st.integers(min_value=128, max_value=400).map(lambda e: 6**e),  # many small factors
+)
+
+
+def _signed(numbers):
+    return numbers.flatmap(lambda n: st.sampled_from((n, -n)))
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +104,18 @@ def fuzz_dir(tmp_path_factory):
 @FUZZ
 @given(
     st.sampled_from(COMMANDS),
-    st.sampled_from(list(FILES) + ["missing.graph"]),
+    st.sampled_from(list(FILES) + ["missing.graph", "big.graph"]),
     st.lists(st.sampled_from(ARG_TOKENS), max_size=4),
+    _signed(BIG),
+    _signed(BIG),
+    BIG,
 )
-def test_main_exits_with_a_documented_code(fuzz_dir, command, first, tokens):
+def test_main_exits_with_a_documented_code(fuzz_dir, command, first, tokens, p, q, k):
+    (fuzz_dir / "big.graph").write_text(f"bs {p} {q}\n")
+    paths = set(FILES) | {"missing.graph", "big.graph"}
     argv = command + [
-        str(fuzz_dir / t) if t in FILES or t == "missing.graph" else t for t in [first] + tokens
+        str(fuzz_dir / t) if t in paths else t.replace("BIG", str(k))
+        for t in [first] + tokens
     ]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -103,3 +123,31 @@ def test_main_exits_with_a_documented_code(fuzz_dir, command, first, tokens):
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert "internal error" not in err.getvalue(), argv
+
+
+LITERAL = [
+    (["wp", "--literal"], 1), (["reduce", "--literal"], 1), (["cyc-reduce", "--literal"], 1),
+    (["conj", "--literal"], 2), (["conj", "--literal", "--witness"], 2),
+    (["conj", "--literal", "--bound", "3"], 2),
+]
+LABELS = _signed(st.one_of(BIG, st.sampled_from((1, 2, 3, 6))))
+EXPONENT = _signed(st.one_of(BIG, st.integers(0, 12)))
+SHAPES = ["a^{}", "y a^{} Y", "a^{} y a^2 Y", "Y a^{} y a^-1"]
+
+
+@FUZZ
+@given(
+    st.sampled_from(LITERAL),
+    LABELS,
+    LABELS,
+    st.lists(st.tuples(st.sampled_from(SHAPES), EXPONENT), min_size=2, max_size=2),
+)
+def test_main_decides_closed_words_with_numbers_of_100_digits(fuzz_dir, command, p, q, words):
+    argv, count = command
+    (fuzz_dir / "big.graph").write_text(f"bs {p} {q}\n")
+    words = [shape.format(k) for shape, k in words[:count]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(fuzz_dir / "big.graph")] + words)
+    assert code in ((0, 1, 2) if "--bound" in argv else (0, 1)), (argv, p, q, words, code)
+    assert err.getvalue() == "", (argv, p, q, words)

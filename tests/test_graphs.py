@@ -15,6 +15,7 @@ from gbs.graphs import (
     GraphError,
     VertexPower,
     WordError,
+    concat,
     invert,
     letters_to_text,
     orientation,
@@ -396,14 +397,37 @@ def test_parse_factorization_agrees_with_parse_word(graph, text):
 EXPONENTS = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(10**40), 10**40))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(AGREEMENT_GRAPHS[:3]), st.data())
-def test_str_is_letters_to_text_of_letters(graph, data):
-    base = data.draw(st.sampled_from(graph.vertices))
+def _draw_factorization(graph, base, data, max_len=8):
     cur, steps = base, []
-    for _ in range(data.draw(st.integers(0, 8))):
+    for _ in range(data.draw(st.integers(0, max_len))):
         name = data.draw(st.sampled_from(graph.out_edges(cur)))
         steps.append((name, data.draw(EXPONENTS)))
         cur = graph.target(name)
-    f = GFactorization(graph, base, data.draw(EXPONENTS), tuple(steps))
+    return GFactorization(graph, base, data.draw(EXPONENTS), tuple(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(AGREEMENT_GRAPHS[:3]), st.data())
+def test_str_is_letters_to_text_of_letters(graph, data):
+    f = _draw_factorization(graph, data.draw(st.sampled_from(graph.vertices)), data)
     assert str(f) == letters_to_text(f.letters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(AGREEMENT_GRAPHS[:3]), st.data())
+def test_concat_equals_to_factorization_of_the_joined_letters(graph, data):
+    parts = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        # mostly a part that continues the path; sometimes one from anywhere
+        base = parts[-1].end if parts and data.draw(st.integers(0, 3)) else None
+        if base is None:
+            base = data.draw(st.sampled_from(graph.vertices))
+        parts.append(_draw_factorization(graph, base, data, max_len=4))
+    # a zero power in front of each part pins its base, also with no letters
+    letters = [x for p in parts for x in (VertexPower(p.base, 0), *p.letters())]
+    want = _outcome(lambda: to_factorization(letters, graph))
+    got = _outcome(lambda: concat(*parts))
+    if isinstance(want, GFactorization):
+        assert got == want
+    else:
+        assert want[0] is WordError and got[0] is WordError, (want, got)

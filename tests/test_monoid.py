@@ -138,7 +138,7 @@ def test_translation_invariance_sample():
 
 def test_gbs_to_monoid_bs23(bs23):
     enc = gbs_to_monoid(bs23)
-    assert enc.primes.primes == (-1, 2, 3)
+    assert enc.basis == (2, 3)  # after the sign slot
     assert enc.presentation.dim == 4
     assert enc.presentation.relations == (
         ((0, 0, 1, 1), (0, 1, 0, 1)),  # one loop pair: alpha 3 ~ beta 2
