@@ -31,10 +31,7 @@ def test_coprime_basis_examples():
 
 def test_valuation_examples():
     # split's exponents are the valuations of k at the basis elements
-    assert split(-24, (2, 3)) == (1, (3, 1))
-    assert split(30, (2, 3)) == (5, (1, 1))
-    assert split(7, (2, 3)) == (7, (0, 0))
-    assert split(360, (2, 3)) == (5, (3, 2))
+    assert split(24, (2, 3)) == (1, (3, 1))
     # a residual may share a factor with a basis element it is not divisible by
     assert split(72, (6,)) == (2, (2,))
     assert split(5, ()) == (5, ())
@@ -43,6 +40,30 @@ def test_valuation_examples():
 def test_valuation_rejects_zero():
     with pytest.raises(ArithError):
         split(0, (2, 3))
+
+
+def test_factor_over_examples():
+    # factoring over a fixed set of integers is split over a basis
+    assert split(-24, (2, 3)) == (1, (3, 1))
+    assert split(30, (2, 3)) == (5, (1, 1))
+    assert split(7, (2, 3)) == (7, (0, 0))
+
+
+def test_factor_over_rejects_zero_and_bare_negative():
+    with pytest.raises(ArithError):
+        split(0, (2, 3))
+    with pytest.raises(ArithError):
+        split(0, ())
+    # a negative input is not an error: split factors |k|, and the sign
+    # goes to the encoding's own slot, never into the residual
+    assert split(-6, (2, 3)) == split(6, (2, 3)) == (1, (1, 1))
+    assert split(-1, (2, 3)) == (1, (0, 0))
+
+
+def test_factored_int_fields():
+    residual, exps = split(360, (2, 3))
+    assert (residual, exps) == (5, (3, 2))
+    assert residual * 2 ** exps[0] * 3 ** exps[1] == 360
 
 
 SMALL_PRIMES = first_primes(8)
