@@ -60,16 +60,23 @@ def coprime_basis(numbers: Iterable[int]) -> tuple[int, ...]:
 
 def split(k: int, basis: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """``(residual, exps)`` with ``|k| = residual * prod(b**e)`` over the
-    basis, by exact division, and no basis element dividing the residual."""
+    basis, and no basis element dividing the residual.  Each exponent takes
+    O(log e) exact divisions: by ``b, b**2, b**4, ...`` while they divide,
+    then back down, by each of those squares that still divides."""
     if k == 0:
         raise ArithError("cannot split zero")
     residual = abs(k)
     exps = []
     for b in basis:
+        squares, p = [], b
+        while residual % p == 0:
+            squares.append(p)
+            p *= p
         e = 0
-        while residual % b == 0:
-            residual //= b
-            e += 1
+        for i in range(len(squares) - 1, -1, -1):
+            q, r = divmod(residual, squares[i])
+            if not r:
+                residual, e = q, e + (1 << i)
         exps.append(e)
     return residual, tuple(exps)
 

@@ -30,7 +30,7 @@ class InternalError(GbsError):
     verdict; the CLI reports it as an error."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     name: str
     src: str
@@ -38,6 +38,20 @@ class Edge:
     alpha: int
     beta: int
     inv: str
+
+    def __init__(self, name, src, dst, alpha, beta, inv):
+        # the slots' own setters: the frozen __init__'s object.__setattr__ costs twice this
+        _set_name(self, name)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+        _set_inv(self, inv)
+
+
+_set_name, _set_src, _set_dst, _set_alpha, _set_beta, _set_inv = (
+    vars(Edge)[f].__set__ for f in Edge.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -132,26 +146,23 @@ def bs_graph(p: int, q: int) -> GbsGraph:
     )
 
 
-def _valid_id(tok: str) -> bool:
-    return bool(tok) and tok != _EMPTY_TOKEN and not any(c in tok for c in "#^ \t")
-
-
 def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     """Parse the line-oriented graph format.
 
     Either a single ``bs <p> <q>`` line, or ``vertex <id>`` and
     ``edge <id> <src> <dst> <alpha> <beta> <inv-id>`` lines; ``#`` starts a
-    comment.  Only the syntax is checked here; with ``check`` (the default)
-    the parsed graph must also pass :func:`validate`, which covers endpoints,
-    inverses, labels and connectivity.
+    comment.  An id is a token other than ``1`` without ``^``, unique across
+    vertices and edges.  Only the syntax is checked here; with ``check`` (the
+    default) the parsed graph must also pass :func:`validate`, which covers
+    endpoints, inverses, labels and connectivity.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
+        toks = raw.partition("#")[0].split()
+        if toks:
+            rows.append((lineno, toks))
 
     def fail(lineno, msg):
         raise GraphError(f"line {lineno}: {msg}")
@@ -172,30 +183,27 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
             if kind == "vertex":
                 if len(toks) != 2:
                     fail(lineno, "expected: vertex <id>")
-                if not _valid_id(toks[1]):
-                    fail(lineno, f"bad id {toks[1]!r}")
-                if toks[1] in ids:
-                    fail(lineno, f"duplicate id {toks[1]!r}")
-                ids.add(toks[1])
-                vertices.append(toks[1])
             elif kind == "edge":
                 if len(toks) != 7:
                     fail(lineno, "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>")
-                name, src, dst, a, b, inv = toks[1:]
-                if not _valid_id(name):
-                    fail(lineno, f"bad id {name!r}")
-                if name in ids:
-                    fail(lineno, f"duplicate id {name!r}")
-                ids.add(name)
-                try:
-                    alpha, beta = int(a), int(b)
-                except ValueError:
-                    fail(lineno, "alpha and beta must be integers")
-                edges.append(Edge(name, src, dst, alpha, beta, inv))
             elif kind == "bs":
                 fail(lineno, "bs must be the only line of the file")
             else:
                 fail(lineno, f"unknown directive {kind!r}")
+            name = toks[1]  # split() leaves no whitespace, and the comment no "#"
+            if name == _EMPTY_TOKEN or "^" in name:
+                fail(lineno, f"bad id {name!r}")
+            if name in ids:
+                fail(lineno, f"duplicate id {name!r}")
+            ids.add(name)
+            if kind == "vertex":
+                vertices.append(name)
+                continue
+            try:
+                alpha, beta = int(toks[4]), int(toks[5])
+            except ValueError:
+                fail(lineno, "alpha and beta must be integers")
+            edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
         graph = GbsGraph(vertices, edges)
 
     if check:
@@ -213,14 +221,14 @@ def validate(graph: GbsGraph) -> list[str]:
     connectivity.
     """
     report: list[str] = []
-    vertex_set = set(graph.vertices)
+    vertex_set, by_name = graph._vertex_set, graph.by_name
     if not graph.vertices:
         report.append("graph has no vertices")
     if len(vertex_set) != len(graph.vertices):
         report.append("duplicate vertex ids")
-    if len({e.name for e in graph.edges}) != len(graph.edges):
+    if len(by_name) != len(graph.edges):
         report.append("duplicate edge ids")
-    if vertex_set & {e.name for e in graph.edges}:
+    if not vertex_set.isdisjoint(by_name):
         report.append("vertex and edge ids overlap")
     for e in graph.edges:
         if e.alpha == 0 or e.beta == 0:
@@ -229,10 +237,10 @@ def validate(graph: GbsGraph) -> list[str]:
             report.append(f"edge {e.name}: unknown source vertex {e.src!r}")
         if e.dst not in vertex_set:
             report.append(f"edge {e.name}: unknown target vertex {e.dst!r}")
-        if not graph.has_edge(e.inv):
+        inv = by_name.get(e.inv)
+        if inv is None:
             report.append(f"edge {e.name}: missing inverse {e.inv!r}")
             continue
-        inv = graph.edge(e.inv)
         if inv.name == e.name:
             report.append(f"edge {e.name}: is its own inverse")
             continue
@@ -253,12 +261,13 @@ def _search(
     """Breadth-first search from ``root`` along out-edges in file order, using
     only ``edges`` when given.  Maps every vertex reached to the step that
     first reached it, ``(previous vertex, edge name)``, and ``root`` to None."""
+    by_name, out = graph.by_name, graph._out
     prev: dict[str, Optional[tuple[str, str]]] = {root: None}
     order = [root]
     for v in order:  # the list grows as the search goes: a FIFO queue
-        for name in graph.out_edges(v):
+        for name in out.get(v, ()):
             if edges is None or name in edges:
-                w = graph.target(name)
+                w = by_name[name].dst
                 if w not in prev:
                     prev[w] = (v, name)
                     order.append(w)
@@ -528,28 +537,35 @@ def rebase(
     path(v, base); the result is a closed factorization at ``base``.
 
     One tree search from ``base`` serves every letter: each vertex's path
-    is walked back once, and path(v, base) is its inverse letters reversed."""
+    is walked back once, and path(v, base) is its inverse edges reversed.
+    The steps are written directly, as :func:`to_factorization` would make
+    them from that letter sequence: a power joins the exponent before it."""
     if not graph.has_vertex(base):
         raise GraphError(f"unknown vertex {base!r}")
+    by_name = graph.by_name
     prev = _search(graph, base, tree)
-    paths: dict[str, tuple[list[Letter], list[Letter]]] = {}
-    out: list[Letter] = [VertexPower(base, 0)]  # pins the base, also for no letters
+    paths: dict[str, tuple[list, list]] = {}
+    steps: list = [(None, 0)]  # the head holds the power at base before any edge
     for letter in letters:
         if isinstance(letter, EdgeLetter):
-            src, dst = graph.source(letter.edge), graph.target(letter.edge)
+            e = graph.edge(letter.edge)
+            src, dst = e.src, e.dst
         else:
-            src = dst = letter.vertex
+            e, src, dst = None, letter.vertex, letter.vertex
         for v in (src, dst):
             if v not in paths:
                 there = _path_to(prev, base, v)
                 paths[v] = (
-                    [EdgeLetter(name) for name in there],
-                    [EdgeLetter(graph.inverse(name)) for name in reversed(there)],
+                    [(name, 0) for name in there],
+                    [(by_name[name].inv, 0) for name in reversed(there)],
                 )
-        out += paths[src][0]
-        out.append(letter)
-        out += paths[dst][1]
-    return to_factorization(out, graph)
+        steps += paths[src][0]
+        if e is not None:
+            steps.append((e.name, 0))
+        else:
+            steps[-1] = (steps[-1][0], steps[-1][1] + letter.exp)
+        steps += paths[dst][1]
+    return GFactorization(graph, base, steps[0][1], tuple(steps[1:]))
 
 
 def orientation(graph: GbsGraph) -> tuple[str, ...]:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbs.arith import ArithError, coprime_basis, first_primes, solve_congruence, split
 
@@ -35,6 +35,11 @@ def test_valuation_examples():
     # a residual may share a factor with a basis element it is not divisible by
     assert split(72, (6,)) == (2, (2,))
     assert split(5, ()) == (5, ())
+    # large exponents, on both sides of powers of two
+    for n in (1, 2, 3, 4, 5, 1023, 1024, 1025, 10**4, 16_000):
+        assert split(2**n * 5, (2, 3)) == (5, (n, 0))
+        assert split(-(6**n) * 7**3, (7, 2, 3)) == (1, (3, n, n))
+    assert split(12**500 * 25, (12,)) == (25, (500,))
 
 
 def test_valuation_rejects_zero():
@@ -101,6 +106,32 @@ def test_factor_round_trip(numbers, k):
     assert len(exps) == len(basis)
     assert residual * math.prod(b**e for b, e in zip(basis, exps)) == abs(k)
     assert all(residual % b for b in basis)
+
+
+
+def _split_one_at_a_time(k, basis):
+    residual, exps = abs(k), []
+    for b in basis:
+        e = 0
+        while residual % b == 0:
+            residual //= b
+            e += 1
+        exps.append(e)
+    return residual, tuple(exps)
+
+
+# pairwise coprime bases, and exponents up to 10**4 on them
+COPRIME = st.lists(st.integers(2, 10**6), max_size=4).map(coprime_basis)
+EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, 64), st.integers(0, 10**4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(COPRIME, st.data(), st.integers(1, 10**30), st.sampled_from((1, -1)))
+def test_split_matches_division_one_at_a_time(basis, data, cofactor, sign):
+    # the cofactor may share factors with the basis: split must find them too
+    exps = [data.draw(EXPONENT) for _ in basis]
+    k = sign * cofactor * math.prod(b**e for b, e in zip(basis, exps))
+    assert split(k, basis) == _split_one_at_a_time(k, basis)
 
 
 @pytest.mark.skipif(sympy is None, reason="needs sympy")

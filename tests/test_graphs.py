@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 
@@ -331,11 +334,15 @@ def test_tree_path_and_rebase_agree_with_depth_first_search():
             for b in g.vertices:
                 assert tree_path(g, tree, a, b) == _dfs_tree_path(g, tree, a, b)
         base = rng.choice(g.vertices)
-        letters = [
-            EdgeLetter(rng.choice(edges).name) if rng.random() < 0.5
-            else VertexPower(rng.choice(g.vertices), rng.randint(-4, 4))
-            for _ in range(rng.randint(0, 8))
-        ]
+        letters = []
+        for _ in range(rng.randint(0, 8)):
+            r = rng.random()
+            if r < 0.4:
+                letters.append(EdgeLetter(rng.choice(edges).name))
+            else:  # a power anywhere, at the base, or a run of them at one vertex
+                v = base if r < 0.6 else rng.choice(g.vertices)
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    letters.append(VertexPower(v, rng.randint(-4, 4)))
         expected = [VertexPower(base, 0)]
         for letter in letters:
             if isinstance(letter, EdgeLetter):
@@ -431,3 +438,117 @@ def test_concat_equals_to_factorization_of_the_joined_letters(graph, data):
         assert got == want
     else:
         assert want[0] is WordError and got[0] is WordError, (want, got)
+
+
+EDGE_ARITY = "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>"
+PARSE_ERRORS = [
+    ("vertex\n", "line 1: expected: vertex <id>"),
+    ("vertex a\nvertex b c\n", "line 2: expected: vertex <id>"),
+    ("vertex 1\n", "line 1: bad id '1'"),
+    ("vertex a^b\n", "line 1: bad id 'a^b'"),
+    ("vertex a\nedge 1 a a 1 1 Y\n", "line 2: bad id '1'"),
+    ("vertex a\nedge y^2 a a 1 1 Y\n", "line 2: bad id 'y^2'"),
+    ("vertex a\nvertex b\nvertex a\n", "line 3: duplicate id 'a'"),
+    ("vertex a\nedge y a a 1 1 y\nedge y a a 1 1 y\n", "line 3: duplicate id 'y'"),
+    ("vertex a\nedge a a a 1 1 Y\n", "line 2: duplicate id 'a'"),
+    ("vertex a\nedge y a a 1 1 Y\nvertex y\n", "line 3: duplicate id 'y'"),
+    ("vertex a\nedge y a a 1 1\n", f"line 2: {EDGE_ARITY}"),
+    ("vertex a\nedge y a a 1 1 Y Z\n", f"line 2: {EDGE_ARITY}"),
+    ("vertex a\nedge y a a 2 x Y\n", "line 2: alpha and beta must be integers"),
+    ("vertex a\nedge y a a 2.0 3 Y\n", "line 2: alpha and beta must be integers"),
+    ("vertex a\nbs 2 3\n", "line 2: bs must be the only line of the file"),
+    ("bs 2 3\nvertex a\n", "line 1: bs must be the only line of the file"),
+    ("bs 2\n", "line 1: expected: bs <p> <q>"),
+    ("bs 2 3 4\n", "line 1: expected: bs <p> <q>"),
+    ("bs 2 x\n", "line 1: p and q must be integers"),
+    ("vertex a\nvortex b\n", "line 2: unknown directive 'vortex'"),
+    ("vertex a\nVERTEX b\n", "line 2: unknown directive 'VERTEX'"),
+    # comments and blank lines keep their line numbers and hide what they hold
+    ("# a graph\n\nvertex a  # the only vertex\n   \n\t\n# vortex b\nvertex a#b\n", "line 7: duplicate id 'a'"),
+    ("\n\n  bs 2 # p is missing\n# bs 2 3\n", "line 3: expected: bs <p> <q>"),
+    ("vertex a\r\n\r\nedge y a a 1 1 Y # x\r\nedge\tY a a 1 1 y\r\nvortex\n", "line 5: unknown directive 'vortex'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_graph_errors_name_the_line(text, message):
+    for check in (True, False):
+        with pytest.raises(GraphError) as info:
+            parse_graph(text, check=check)
+        assert str(info.value) == message
+
+
+def test_parse_graph_skips_comments_and_blank_lines():
+    text = "# bs 2 3 in the long form\n\nvertex a # a comment\n \t \nedge y a a 3 2 Y\n#\nedge Y a a 2 3 y#x\n"
+    g = parse_graph(text)
+    assert g == GbsGraph(("a",), (Edge("y", "a", "a", 3, 2, "Y"), Edge("Y", "a", "a", 2, 3, "y")))
+    assert parse_graph("\n# only a header\n  bs  2 3  # the loop\n\n") == parse_graph("bs 2 3")
+    with pytest.raises(GraphError) as info:
+        parse_graph("# nothing but a comment\n\n")
+    assert str(info.value) == "graph has no vertices"
+
+
+def test_edge_is_an_immutable_value():
+    e = Edge("y", "a", "b", 2, 3, "Y")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.alpha = 5
+    with pytest.raises((AttributeError, TypeError)):  # TypeError from 3.11's slotted frozen classes
+        e.label = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.name
+    assert e == Edge("y", "a", "b", 2, 3, "Y")
+    assert e == Edge(name="y", src="a", dst="b", alpha=2, beta=3, inv="Y")
+    assert e != Edge("y", "a", "b", 2, 4, "Y") and e != ("y", "a", "b", 2, 3, "Y")
+    assert hash(e) == hash(("y", "a", "b", 2, 3, "Y"))
+    assert len({e, Edge("y", "a", "b", 2, 3, "Y"), Edge("Y", "b", "a", 3, 2, "y")}) == 2
+    assert [f.name for f in dataclasses.fields(Edge)] == ["name", "src", "dst", "alpha", "beta", "inv"]
+    assert repr(e) == "Edge(name='y', src='a', dst='b', alpha=2, beta=3, inv='Y')"
+    assert pickle.loads(pickle.dumps(e)) == e == copy.deepcopy(e)
+
+
+def _tree_graph_text(rng, nv):
+    """The shape of the benchmark's large graphs: a random recursive tree on
+    ``nv`` vertices plus ``nv // 10`` extra edge pairs."""
+    ends = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, nv)]
+    ends += [(f"v{rng.randrange(nv)}", f"v{rng.randrange(nv)}") for _ in range(nv // 10)]
+    lines = [f"vertex v{i}" for i in range(nv)]
+    for i, (u, v) in enumerate(ends):
+        a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+        lines += [f"edge e{i} {u} {v} {a} {b} E{i}", f"edge E{i} {v} {u} {b} {a} e{i}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_graph_text_round_trip_and_graph_equality():
+    rng = random.Random(23)
+    for _ in range(200):
+        g = gen.random_graph(rng, 6, 10)
+        again = parse_graph(g.to_text())
+        assert again == g and hash(again) == hash(g) == hash((g.vertices, g.edges))
+        assert again.by_name == g.by_name
+    text = _tree_graph_text(rng, 750)
+    g = parse_graph(text)
+    assert (len(g.vertices), len(g.edges)) == (750, 2 * (749 + 75))
+    assert g.to_text() == text and parse_graph(g.to_text()) == g
+    assert g == GbsGraph(g.vertices, list(g.edges)) and hash(g) == hash((g.vertices, g.edges))
+    e = g.edges[0]
+    relabelled = Edge(e.name, e.src, e.dst, e.alpha + 1, e.beta, e.inv)
+    assert g != GbsGraph(g.vertices, (relabelled,) + g.edges[1:])
+    assert g != GbsGraph(g.vertices[::-1], g.edges) and g != g.vertices
+
+
+def test_rebase_errors(amalgam):
+    tree = spanning_tree(amalgam)
+    cases = [
+        ([EdgeLetter("t"), EdgeLetter("x")], "a", "unknown edge 'x'"),
+        ([VertexPower("a", 1), VertexPower("z", 2)], "a", "no tree path from a to z"),
+        ([VertexPower("z", 0)], "b", "no tree path from b to z"),
+        ([EdgeLetter("t")], "z", "unknown vertex 'z'"),
+        ([], "z", "unknown vertex 'z'"),
+    ]
+    for letters, base, message in cases:
+        with pytest.raises(GraphError) as info:
+            rebase(letters, amalgam, tree, base)
+        assert type(info.value) is GraphError and str(info.value) == message
+    # a tree that does not span the graph leaves vertices without a path
+    with pytest.raises(GraphError, match="^no tree path from a to b$"):
+        rebase([VertexPower("b", 1)], amalgam, frozenset(), "a")
