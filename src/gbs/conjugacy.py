@@ -4,7 +4,11 @@ After cyclic Britton reduction a word is either elliptic (a single vertex
 power) or hyperbolic (at least one edge).  Hyperbolic pairs are decided by
 rotating one operand over the other and, for each rotation with the same
 underlying path, walking the loop once with integers to find the conjugating
-vertex power: one linear congruence per edge and one closing equation.
+vertex power: one linear congruence per edge and one closing equation.  The
+rotations are walked in place, without building them, and each distinct
+rotation once, so a proper power ``u^m`` costs no more walks than u alone;
+a negative pair of periodic paths whose exponents differ still costs one
+O(n) walk per aligned rotation.
 Elliptic pairs reduce to a commutative-monoid congruence of exponent
 vectors over a coprime basis of the edge labels, built by gcds, decided by
 completion; only a caller's coordinate bound can stop it short, so the
@@ -78,9 +82,11 @@ def _underlying_path(f: GFactorization) -> tuple[str, ...]:
     return tuple(name for name, _ in f.steps)
 
 
-def hyperbolic_system(v: GFactorization, w: GFactorization) -> Optional[int]:
-    """The integer x with ``base^x v base^-x = w`` for two cyclically reduced
-    hyperbolic factorizations over the same underlying path, or None.
+def hyperbolic_system(v: GFactorization, w: GFactorization, r: int = 0) -> Optional[int]:
+    """The integer x with ``base^x v base^-x`` equal to rotation r of w (the
+    word ``w.steps[r:] + w.steps[:r]``), for two cyclically reduced
+    hyperbolic factorizations, or None.  The rotation is read where it lies,
+    at index ``(i + r) % n`` of w, so nothing is copied.
 
     Matching the two words through Britton moves forces one condition per
     edge: walking the loop backwards, the carried power ``cur`` must be
@@ -91,12 +97,24 @@ def hyperbolic_system(v: GFactorization, w: GFactorization) -> Optional[int]:
     ``(m + q) s = -(c + p)`` has one solution, every s (ratio product one)
     or none.  m divides the product of the betas, so every number stays
     linear in the input size.
+
+    The rotation must trace v's path: a length mismatch, or an edge where
+    the walk finds the rotation off v's path, raises :class:`WordError`, so
+    no x is ever returned for such a pair.
     """
-    g = v.graph
-    c, m = 0, 1
-    p, q = v.steps[-1][1] - w.steps[-1][1], -1
-    for i in range(v.n - 1, -1, -1):
-        e = g.edge(v.steps[i][0])
+    n = v.n
+    if n == 0 or w.n != n:
+        raise WordError("hyperbolic_system needs two hyperbolic words of one length")
+    by_name = v.graph.by_name
+    ws = w.steps
+    c, m, p, q = 0, 1, 0, -1
+    for i in range(n - 1, -1, -1):
+        name, k = v.steps[i]
+        wname, wk = ws[(i + r) % n]
+        if wname != name:
+            raise WordError(f"rotation {r} of w leaves the path of v at edge {i}")
+        e = by_name[name]
+        p += k - wk
         sol = arith.solve_congruence(q, -p, e.beta)
         if sol is None:
             return None
@@ -104,26 +122,39 @@ def hyperbolic_system(v: GFactorization, w: GFactorization) -> Optional[int]:
         c, m = c + m * s0, m * step
         p, q = p + q * s0, q * step
         p, q = e.alpha * (p // e.beta), e.alpha * (q // e.beta)
-        if i:
-            p += v.steps[i - 1][1] - w.steps[i - 1][1]
     if m + q == 0:
         return c if c + p == 0 else None
     s, rem = divmod(-(c + p), m + q)
     return None if rem else c + m * s
 
 
+def _borders(seq: Sequence) -> list[int]:
+    """``border[i]``: the length of the longest proper border of
+    ``seq[:i + 1]`` (the Knuth-Morris-Pratt prefix function)."""
+    border = [0] * len(seq)
+    b = 0
+    for i in range(1, len(seq)):
+        while b and seq[i] != seq[b]:
+            b = border[b - 1]
+        if seq[i] == seq[b]:
+            b += 1
+        border[i] = b
+    return border
+
+
+def _rotation_period(seq: Sequence) -> int:
+    """The least d >= 1 with ``seq[d:] + seq[:d] == seq``: the smallest
+    period of seq when it divides ``len(seq)``, else ``len(seq)``."""
+    n = len(seq)
+    d = n - _borders(seq)[-1]
+    return d if n % d == 0 else n
+
+
 def _aligned_rotations(path: Sequence[str], wpath: Sequence[str]):
     """Every r with ``wpath[r:] + wpath[:r] == path``, ascending: one
     Knuth-Morris-Pratt pass of path over wpath followed by wpath[:-1]."""
     n = len(path)
-    border = [0] * n  # border[i]: longest proper border of path[:i + 1]
-    b = 0
-    for i in range(1, n):
-        while b and path[i] != path[b]:
-            b = border[b - 1]
-        if path[i] == path[b]:
-            b += 1
-        border[i] = b
+    border = _borders(path)
     b = 0
     for i, name in enumerate(wpath + wpath[:-1]):
         while b and name != path[b]:
@@ -141,15 +172,26 @@ def conj_hyperbolic(
     """First rotation of w aligning its underlying path with v's that admits
     a conjugating vertex power, as ``(rotation, x)``; None when no rotation
     works.  Both inputs must be cyclically reduced, hyperbolic, and start
-    with an edge letter."""
+    with an edge letter.
+
+    Each aligned rotation is walked in place by :func:`hyperbolic_system`.
+    Rotations r and r + d give the same word when d is w's rotation period
+    (:func:`_rotation_period` of its ``(edge, exponent)`` steps), so the
+    loop stops at the first aligned r >= d: each distinct rotation is
+    walked once, so a proper power ``u^m`` costs at most ``len(u)`` walks
+    whatever m, one when u has one edge.  A negative pair of periodic paths
+    whose exponents differ still costs one O(n) walk per aligned rotation.
+    """
     for f in (v, w):
         if f.n == 0 or f.k0 != 0 or not f.is_closed:
             raise WordError("expected a cyclically reduced hyperbolic word")
     if v.n != w.n:
         return None
+    period = _rotation_period(w.steps)
     for r in _aligned_rotations(_underlying_path(v), _underlying_path(w)):
-        rot, _ = _rotate_with_conjugator(w, r)
-        x = hyperbolic_system(v, rot)
+        if r >= period:
+            break
+        x = hyperbolic_system(v, w, r)
         if x is not None:
             return r, x
     return None

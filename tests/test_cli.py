@@ -131,6 +131,14 @@ def test_conj_no(capsys, bs_path):
     assert code == 1 and out.strip() == "not-conjugate"
 
 
+def test_conj_no_on_a_long_proper_power(capsys, tmp_path):
+    # both sides are powers of one-edge units, so one walk decides the pair
+    p = tmp_path / "bs22.graph"
+    p.write_text("bs 2 2\n")
+    code, out, err = run(capsys, "conj", "--literal", str(p), "y a " * 2000, "y a^3 " * 2000)
+    assert code == 1 and out.strip() == "not-conjugate" and err == ""
+
+
 def test_conj_unknown_exit_code(capsys, tmp_path):
     # a^6 and a^2 are not conjugate: every move keeps the 3-adic valuation
     # at least 1.  A cap below every critical pair leaves it undecided.

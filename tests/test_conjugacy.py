@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from gbs import conjugacy
 from gbs.britton import cyclically_reduce_with_conjugator
 from gbs.conjugacy import (
     ConjVerdict,
     _aligned_rotations,
+    _rotation_period,
     conj_elliptic,
     conj_hyperbolic,
     conjugate,
+    hyperbolic_system,
     verify_conjugator,
 )
 from gbs.graphs import (
@@ -121,6 +124,207 @@ def test_aligned_rotations_match_a_plain_scan():
             assert list(_aligned_rotations(path, wpath)) == scan, (path, wpath)
             hits += len(scan)
     assert hits > 3000
+
+
+def test_rotation_period_matches_a_plain_scan():
+    rng = random.Random(2357)
+    lengths = set()
+    for _ in range(600):
+        unit = tuple((rng.choice("yz"), rng.randint(-1, 1)) for _ in range(rng.randint(1, 4)))
+        seq = unit * rng.randint(1, 6) + unit[: rng.randrange(len(unit) + 1)]
+        n = len(seq)
+        scan = next(d for d in range(1, n + 1) if seq[d:] + seq[:d] == seq)
+        assert _rotation_period(seq) == scan, seq
+        lengths.add((n == 1, scan == n, n % len(unit) != 0))
+    # single steps, primitive words and words their unit does not tile all occur
+    assert {(True, True, False), (False, True, True), (False, False, False)} <= lengths
+
+
+def test_hyperbolic_system_rejects_a_rotation_off_the_path(bs23):
+    with pytest.raises(WordError):  # y against Y
+        hyperbolic_system(fact(bs23, "y a^2"), fact(bs23, "Y a^5"))
+    with pytest.raises(WordError):  # w longer than v
+        hyperbolic_system(fact(bs23, "y a"), fact(bs23, "y a y a^2"))
+    with pytest.raises(WordError):  # w shorter than v
+        hyperbolic_system(fact(bs23, "y a y a^2"), fact(bs23, "y a"))
+    bs11 = bs_graph(1, 1)  # beta 1: every congruence holds, so the walk meets the mismatch
+    with pytest.raises(WordError):
+        hyperbolic_system(fact(bs11, "y a y a^2"), fact(bs11, "Y a y a^2"))
+    with pytest.raises(WordError):
+        hyperbolic_system(fact(bs11, "y a y a^2"), fact(bs11, "Y a y a^2"), 1)
+
+
+DUMBBELL = """\
+vertex a
+vertex b
+edge y a a 2 -3 Y
+edge Y a a -3 2 y
+edge t a b -2 4 T
+edge T b a 4 -2 t
+edge z b b 6 -4 Z
+edge Z b b -4 6 z
+"""
+
+
+def _closed_walk(rng, g, n):
+    """A closed walk of n edges from a that never takes an edge straight
+    back, also across the seam, so any exponents leave it cyclically
+    reduced; None when the random walk does not close."""
+    names = [rng.choice(g.out_edges("a"))]
+    for _ in range(n - 1):
+        prev = g.edge(names[-1])
+        names.append(rng.choice([e for e in g.out_edges(prev.dst) if e != prev.inv]))
+    first, last = g.edge(names[0]), g.edge(names[-1])
+    if last.dst != "a" or first.inv == last.name:
+        return None
+    return names
+
+
+def _pushed(rng, v):
+    """A word equal to ``a^x v a^-x`` over v's path, x nonzero when the first
+    label allows: each carried power crosses the next edge, and a random
+    multiple of the following alpha is carried on."""
+    g = v.graph
+    labels = [g.edge(name) for name, _ in v.steps]
+    carry = labels[0].alpha * rng.randint(-3, 3)
+    x, steps = carry, []
+    for i, ((name, k), e) in enumerate(zip(v.steps, labels)):
+        pushed = carry // e.alpha * e.beta
+        carry = labels[i + 1].alpha * rng.randint(-3, 3) if i + 1 < v.n else x
+        steps.append((name, k + pushed - carry))
+    return GFactorization(g, "a", 0, tuple(steps)), x
+
+
+def test_hyperbolic_system_walks_a_rotation_in_place():
+    rng = random.Random(99)
+    g = parse_graph(TWO_LOOPS)
+    v = _odd_exponent_loop(rng, g, "yzYzzZyy")
+    powers = set()
+    for r in range(v.n):
+        rot = GFactorization(g, "a", 0, v.steps[r:] + v.steps[:r])
+        u, x = _pushed(rng, rot)  # a^x rot a^-x = u
+        found = hyperbolic_system(u, v, r)
+        assert found is not None and found == hyperbolic_system(u, rot)
+        powers.add(found)
+    assert len(powers) > 2
+
+
+def _periodic_pairs(rng):
+    """Pairs over periodic paths: proper powers with w's unit exponents equal
+    to v's or redrawn, periodic paths whose exponents differ, conjugates
+    pushed through a vertex power, and a proper power with one exponent
+    changed in w or in both words; w is rotated."""
+    graphs = [bs_graph(p, q) for p, q in ((2, 2), (-2, 2), (2, -3), (1, -1), (3, 3), (1, 1))]
+    graphs += [parse_graph(TWO_LOOPS), parse_graph(DUMBBELL)]
+    while True:
+        g = rng.choice(graphs)
+        unit = _closed_walk(rng, g, rng.randint(1, 3))
+        if unit is None:
+            continue
+        m = rng.randint(2, 6)
+        ks = [rng.randint(-4, 4) for _ in unit]
+        v = GFactorization(g, "a", 0, tuple(zip(unit * m, ks * m)))
+        family = rng.randrange(4)
+        if family == 0:  # a proper power, same or redrawn unit exponents
+            ws = ks if rng.random() < 0.5 else [rng.randint(-4, 4) for _ in unit]
+            w = GFactorization(g, "a", 0, tuple(zip(unit * m, ws * m)))
+        elif family == 1:  # periodic path, exponents differ
+            v = GFactorization(g, "a", 0, tuple((name, rng.randint(-4, 4)) for name in unit * m))
+            w = GFactorization(g, "a", 0, tuple((name, rng.randint(-4, 4)) for name in unit * m))
+        elif family == 2:  # a conjugate by a vertex power
+            w, _ = _pushed(rng, v)
+        else:  # one exponent changed in w, or in both (then most periods do not divide n)
+            steps = list(v.steps)
+            i = rng.randrange(len(steps))
+            steps[i] = (steps[i][0], steps[i][1] + rng.choice((-1, 1)))
+            w = GFactorization(g, "a", 0, tuple(steps))
+            if rng.random() < 0.5:
+                v = w
+        r = rng.randrange(w.n)
+        if g.source(w.steps[r][0]) != "a":
+            continue
+        yield v, GFactorization(g, "a", 0, w.steps[r:] + w.steps[:r])
+
+
+def _every_rotation(v, w):
+    """The loop without the in-place walk or the period skip: each aligned
+    rotation is built as a word and walked from its start."""
+    path = [name for name, _ in v.steps]
+    for r in range(w.n):
+        steps = w.steps[r:] + w.steps[:r]
+        if [name for name, _ in steps] == path:
+            x = hyperbolic_system(v, GFactorization(v.graph, v.base, 0, steps))
+            if x is not None:
+                return r, x
+    return None
+
+
+def test_conj_hyperbolic_matches_the_per_rotation_loop_on_periodic_corpora():
+    rng = random.Random(1618)
+    pairs = _periodic_pairs(rng)
+    seen = {"hit": 0, "rotated": 0, "powered": 0, "miss": 0, "skipped": 0, "brute": 0}
+    for _ in range(1500):
+        v, w = next(pairs)
+        found = conj_hyperbolic(v, w)
+        assert found == _every_rotation(v, w), (str(v), str(w))
+        if found is None:
+            seen["miss"] += 1
+            seen["skipped"] += _rotation_period(w.steps) < w.n
+        else:
+            seen["hit"] += 1
+            seen["rotated"] += found[0] > 0
+            seen["powered"] += found[1] != 0
+        if v.n <= 8:
+            verdict, _ = conj_brute_status(v, w, 60)
+            if found is None:
+                assert verdict is not ConjVerdict.CONJUGATE, (str(v), str(w))
+            elif abs(found[1]) <= 60:
+                assert verdict is ConjVerdict.CONJUGATE, (str(v), str(w))
+            seen["brute"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def _counting_walks(monkeypatch):
+    calls = []
+    walk = conjugacy.hyperbolic_system
+
+    def counted(v, w, r=0):
+        calls.append(r)
+        return walk(v, w, r)
+
+    monkeypatch.setattr(conjugacy, "hyperbolic_system", counted)
+    return calls
+
+
+def test_a_proper_power_costs_one_walk(monkeypatch):
+    bs22 = bs_graph(2, 2)
+    v = GFactorization(bs22, "a", 0, (("y", 1),) * 2000)
+    w = GFactorization(bs22, "a", 0, (("y", 3),) * 2000)
+    calls = _counting_walks(monkeypatch)
+    assert conjugate(v, w).verdict is ConjVerdict.NOT_CONJUGATE
+    assert calls == [0]
+
+
+def test_a_periodic_path_walks_each_aligned_rotation_up_to_the_first_hit(monkeypatch):
+    # no power of a is central over these labels, so with random exponents
+    # no rotation before the shift conjugates
+    rng = random.Random(31)
+    loops = parse_graph(
+        "vertex a\nedge y a a 2 3 Y\nedge Y a a 3 2 y\nedge z a a 5 7 Z\nedge Z a a 7 5 z\n"
+    )
+    cases = ((bs_graph(2, 3), "y" * 60, 17, range(60)), (loops, "yz" * 30, 22, range(0, 60, 2)))
+    calls = _counting_walks(monkeypatch)
+    for g, path, shift, aligned in cases:
+        f = GFactorization(g, "a", 0, tuple((name, rng.randint(-99, 99)) for name in path))
+        w = GFactorization(g, "a", 0, f.steps[shift:] + f.steps[:shift])
+        calls.clear()
+        assert conj_hyperbolic(w, f) == (shift, 0)
+        assert calls == [r for r in aligned if r <= shift]
+        steps = list(f.steps)
+        steps[5] = (steps[5][0], steps[5][1] + 2)
+        calls.clear()
+        assert conj_hyperbolic(f, GFactorization(g, "a", 0, tuple(steps))) is None
+        assert calls == list(aligned)
 
 
 def _odd_exponent_loop(rng, graph, path):
