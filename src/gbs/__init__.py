@@ -5,6 +5,7 @@ cyclically Britton-reduced normal forms, and decides conjugacy (with
 verified witnesses) for fundamental groups of finite graphs of groups whose
 vertex and edge groups are all infinite cyclic.  It also converts between
 commutative-monoid word-problem instances and elliptic conjugacy instances.
+Words, normal forms and witnesses are all :class:`GFactorization` values.
 The paper's colouring construction lives in ``gbs.britton`` and
 ``gbs.freegroup`` and is not exported; the tests check it and the fast
 paths against the reference implementations in ``tests/oracles.py``.
@@ -35,14 +36,12 @@ from .graphs import (
     WordError,
     bs_graph,
     invert,
-    letters_to_text,
     orientation,
     parse_factorization,
     parse_graph,
     parse_word,
     rebase,
     spanning_tree,
-    to_factorization,
     validate,
 )
 from .monoid import CongResult, MonPresentation, Verdict, congruent, gbs_to_monoid, monoid_to_gbs

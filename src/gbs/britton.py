@@ -22,7 +22,6 @@ from .freegroup import FWord
 from .graphs import (
     GFactorization,
     GbsGraph,
-    VertexPower,
     WordError,
     orientation,
 )
@@ -327,20 +326,9 @@ def word_problem(f: GFactorization) -> bool:
     return h.n == 0 and h.k0 == 0
 
 
-def _rotate_with_conjugator(f: GFactorization, m: int):
-    """Cyclic rotation by m edges of a closed factorization with ``k0 == 0``,
-    with the letters of a word z such that the rotation equals ``z f z^-1``."""
-    if m == 0:
-        return f, ()
-    g = f.graph
-    base = g.source(f.steps[m][0])
-    rot = GFactorization(g, base, 0, f.steps[m:] + f.steps[:m])
-    return rot, GFactorization(g, base, 0, f.steps[m:]).letters()
-
-
 def cyclically_reduce_with_conjugator(f: GFactorization):
-    """Cyclically Britton-reduce a closed factorization; also return letters
-    of a word z with ``result = z f z^-1``.
+    """Cyclically Britton-reduce a closed factorization; also return a word
+    z, from the result's base to f's, with ``result = z f z^-1``.
 
     After Britton reduction only the seam between the last and the first
     edge can still contract.  One pass folds ``k0`` into the last exponent,
@@ -348,13 +336,14 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
     contracted power into the new last exponent; no other adjacent pair
     changes, so what is left is cyclically reduced, and hyperbolic results
     start with an edge letter.  z is the inverse of the carried power
-    followed by the peeled suffix.
+    followed by the peeled suffix; an elliptic result commutes with that
+    power, so there z is the suffix alone.
     """
     if not f.is_closed:
         raise WordError("cyclic reduction needs a closed factorization")
     h = britton_reduce_fast(f)
     if not h.n:
-        return h, ()
+        return h, GFactorization(f.graph, h.base, 0, ())
     g = f.graph
     steps = h.steps
     lo, hi, c = 0, h.n - 1, h.k0  # the word is steps[lo..hi], c added to the last exponent
@@ -365,13 +354,11 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
             break
         c = e.alpha * (k // e.beta) + steps[lo][1]
         lo, hi = lo + 1, hi - 1
-    suffix = GFactorization(g, g.target(steps[hi][0]), 0, steps[hi + 1 :]).letters()
     if lo > hi:
-        return GFactorization(g, e.src, c, ()), suffix
+        return GFactorization(g, e.src, c, ()), GFactorization(g, e.src, 0, steps[hi + 1 :])
     base = g.source(steps[lo][0])
     middle = steps[lo:hi] + ((steps[hi][0], steps[hi][1] + c),)
-    z = ((VertexPower(base, -c),) if c else ()) + suffix
-    return GFactorization(g, base, 0, middle), z
+    return GFactorization(g, base, 0, middle), GFactorization(g, base, -c, steps[hi + 1 :])
 
 
 def cyclically_reduce(f: GFactorization) -> GFactorization:

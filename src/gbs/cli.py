@@ -108,7 +108,7 @@ def _cmd_conj(args) -> int:
     res = conjugacy.conjugate(v, w, bound=args.bound)
     print(res.verdict.value)
     if res.verdict is conjugacy.ConjVerdict.CONJUGATE and args.witness:
-        print(graphs.letters_to_text(res.witness))
+        print(res.witness)
     if res.verdict is conjugacy.ConjVerdict.CONJUGATE:
         return EXIT_YES
     if res.verdict is conjugacy.ConjVerdict.NOT_CONJUGATE:

@@ -23,20 +23,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import arith, monoid
-from .britton import _rotate_with_conjugator, cyclically_reduce_with_conjugator, word_problem
+from .britton import cyclically_reduce_with_conjugator, word_problem
 from .graphs import (
-    EdgeLetter,
     GbsError,
     GbsGraph,
     GFactorization,
     InternalError,
-    Letter,
-    VertexPower,
     WordError,
     concat,
     invert,
     spanning_tree,
-    to_factorization,
     tree_path,
 )
 
@@ -49,33 +45,35 @@ class ConjVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ConjResult:
+    """A verdict; on CONJUGATE, ``witness`` is a word z from w's base to
+    v's with ``z v z^-1 = w``, verified before it is returned."""
+
     verdict: ConjVerdict
-    witness: Optional[tuple[Letter, ...]] = None
+    witness: Optional[GFactorization] = None
     reason: str = ""
 
 
-def invert_letters(letters: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for letter in reversed(letters):
-        if isinstance(letter, VertexPower):
-            out.append(VertexPower(letter.vertex, -letter.exp))
-        else:
-            out.append(EdgeLetter(graph.inverse(letter.edge)))
-    return tuple(out)
-
-
-def verify_conjugator(
-    witness: Sequence[Letter], v: GFactorization, w: GFactorization
-) -> bool:
-    """Whether ``witness * v * witness^-1 * w^-1`` is a valid closed word
-    representing the identity.  The witness must run from w's base to v's;
-    the zero power in front pins its start there, also when it is empty,
-    and :func:`concat` checks every seam, so the joined word is closed."""
+def verify_conjugator(z: GFactorization, v: GFactorization, w: GFactorization) -> bool:
+    """Whether ``z v z^-1 w^-1`` is a valid closed word representing the
+    identity.  :func:`concat` checks every seam, which forces z to run from
+    w's base to v's; a word that does not join up is no witness."""
     try:
-        z = to_factorization((VertexPower(w.base, 0), *witness), v.graph)
         return word_problem(concat(z, v, invert(z), invert(w)))
     except WordError:
         return False
+
+
+def _verified(kind: str, v: GFactorization, w: GFactorization, build) -> ConjResult:
+    """CONJUGATE with the witness ``build()`` makes.  Its parts come from
+    this package, so a witness that does not join up into a word or does
+    not verify raises :class:`InternalError`, never a verdict."""
+    try:
+        z = build()
+    except GbsError:
+        z = None
+    if z is None or not verify_conjugator(z, v, w):
+        raise InternalError(f"{kind} conjugator failed verification")
+    return ConjResult(ConjVerdict.CONJUGATE, z)
 
 
 def _underlying_path(f: GFactorization) -> tuple[str, ...]:
@@ -209,12 +207,12 @@ def conj_elliptic(
     that the coprime basis of the labels leaves must agree, and the exponent
     vectors must be congruent in the derived monoid (see
     :class:`monoid.MonoidEncoding`); a congruence path maps back to an
-    edge-letter conjugator.  ``bound`` caps the completion's coordinates,
+    edge-path conjugator.  ``bound`` caps the completion's coordinates,
     the sign and basis exponents (see :func:`monoid.congruent`); when it
     stops the completion short, the verdict is UNKNOWN."""
     if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
-        path = tree_path(graph, spanning_tree(graph), b, a)
-        return ConjResult(ConjVerdict.CONJUGATE, tuple(EdgeLetter(name) for name in path))
+        steps = tuple((name, 0) for name in tree_path(graph, spanning_tree(graph), b, a))
+        return ConjResult(ConjVerdict.CONJUGATE, GFactorization(graph, b, 0, steps))
     if k == 0 or ell == 0:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="only 1 is conjugate to 1")
     enc = monoid.gbs_to_monoid(graph)
@@ -227,12 +225,9 @@ def conj_elliptic(
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason=res.reason)
     if res.verdict is monoid.Verdict.UNKNOWN:
         return ConjResult(ConjVerdict.UNKNOWN, reason=res.reason)
-    witness = enc.witness_letters(res.path)
-    va = GFactorization(graph, a, k, ())
-    wb = GFactorization(graph, b, ell, ())
-    if not verify_conjugator(witness, va, wb):
-        raise InternalError("elliptic conjugator failed verification")
-    return ConjResult(ConjVerdict.CONJUGATE, witness)
+    va, wb = GFactorization(graph, a, k, ()), GFactorization(graph, b, ell, ())
+    steps = tuple((name, 0) for name in enc.conjugator_path(res.path))
+    return _verified("elliptic", va, wb, lambda: GFactorization(graph, b, 0, steps))
 
 
 def conjugate(
@@ -253,16 +248,12 @@ def conjugate(
     graph = v.graph
     vh, zv = cyclically_reduce_with_conjugator(v)
     wh, zw = cyclically_reduce_with_conjugator(w)
-    zw_inv = invert_letters(zw, graph)
 
     if vh.n == 0 and wh.n == 0:
         res = conj_elliptic(vh.base, vh.k0, wh.base, wh.k0, graph, bound)
         if res.verdict is not ConjVerdict.CONJUGATE:
             return res
-        witness = zw_inv + res.witness + tuple(zv)
-        if not verify_conjugator(witness, v, w):
-            raise InternalError("elliptic conjugator failed verification")
-        return ConjResult(ConjVerdict.CONJUGATE, witness)
+        return _verified("elliptic", v, w, lambda: concat(invert(zw), res.witness, zv))
 
     if vh.n != wh.n or vh.n == 0 or wh.n == 0:
         return ConjResult(
@@ -275,9 +266,8 @@ def conjugate(
             ConjVerdict.NOT_CONJUGATE, reason="no rotation admits a conjugating power"
         )
     r, x = found
-    _, zr = _rotate_with_conjugator(wh, r)
-    middle = (VertexPower(vh.base, x),) if x else ()
-    witness = zw_inv + invert_letters(zr, graph) + middle + tuple(zv)
-    if not verify_conjugator(witness, v, w):
-        raise InternalError("hyperbolic conjugator failed verification")
-    return ConjResult(ConjVerdict.CONJUGATE, witness)
+    # rotation r of wh is zr wh zr^-1 (zr is empty at r = 0, not the whole
+    # loop), and base^x conjugates vh to it
+    zr = GFactorization(graph, graph.source(wh.steps[r][0]), 0, wh.steps[r:] if r else ())
+    middle = GFactorization(graph, vh.base, x, ())
+    return _verified("hyperbolic", v, w, lambda: concat(invert(zw), invert(zr), middle, zv))

@@ -324,19 +324,9 @@ class GFactorization:
     def is_closed(self) -> bool:
         return self.end == self.base
 
-    def letters(self) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        if self.k0:
-            out.append(VertexPower(self.base, self.k0))
-        g = self.graph
-        for name, k in self.steps:
-            out.append(EdgeLetter(name))
-            if k:
-                out.append(VertexPower(g.target(name), k))
-        return tuple(out)
-
     def __str__(self):
-        """The text of :func:`letters_to_text` applied to :meth:`letters`."""
+        """Canonical text: exponents always printed, zero powers omitted, the
+        empty word printed as ``1``; :func:`parse_factorization` reads it back."""
         by_name = self.graph.by_name
         toks = [f"{self.base}^{self.k0}"] if self.k0 else []
         for name, k in self.steps:
@@ -371,60 +361,10 @@ def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
     return tuple(letters)
 
 
-def letters_to_text(letters: Sequence[Letter]) -> str:
-    """Canonical word text: exponents always printed, zero powers omitted,
-    the empty word printed as ``1``."""
-    toks: list[str] = []
-    for letter in letters:
-        if isinstance(letter, VertexPower):
-            if letter.exp:
-                toks.append(f"{letter.vertex}^{letter.exp}")
-        else:
-            toks.append(letter.edge)
-    return " ".join(toks) if toks else _EMPTY_TOKEN
-
-
-def to_factorization(letters: Sequence[Letter], graph: GbsGraph) -> GFactorization:
-    """Normalize a letter sequence: merge adjacent vertex powers, insert zero
-    exponents between consecutive edges, and check that powers sit at the
-    vertex the path is passing through."""
-    base: Optional[str] = None
-    k0 = 0
-    steps: list[list] = []
-    cur: Optional[str] = None
-    for letter in letters:
-        if isinstance(letter, VertexPower):
-            if not graph.has_vertex(letter.vertex):
-                raise WordError(f"unknown vertex {letter.vertex!r}")
-            if cur is None:
-                base = cur = letter.vertex
-            elif letter.vertex != cur:
-                raise WordError(
-                    f"vertex power {letter.vertex!r} at path position {cur!r}"
-                )
-            if steps:
-                steps[-1][1] += letter.exp
-            else:
-                k0 += letter.exp
-        else:
-            e = graph.edge(letter.edge)
-            if cur is None:
-                base = cur = e.src
-            elif e.src != cur:
-                raise WordError(f"edge {e.name} does not continue the path at {cur}")
-            steps.append([e.name, 0])
-            cur = e.dst
-    if base is None:
-        if not graph.vertices:
-            raise WordError("empty graph")
-        base = graph.vertices[0]
-    return GFactorization(graph, base, k0, tuple((n, k) for n, k in steps))
-
-
 def parse_factorization(text: str, graph: GbsGraph) -> GFactorization:
-    """``to_factorization(parse_word(text, graph), graph)`` in one pass over
-    the tokens, building no letters; same result, same errors.  As there,
-    every token is parsed before a power or edge off the path is reported."""
+    """Parse the tokens of :func:`parse_word` into a factorization in one
+    pass: adjacent powers merge, edges in a row get zero exponents, and a
+    power or edge off the path is reported once every token is parsed."""
     vertices, by_name = graph._vertex_set, graph.by_name
     base = cur = None
     k0 = 0
@@ -538,8 +478,8 @@ def rebase(
 
     One tree search from ``base`` serves every letter: each vertex's path
     is walked back once, and path(v, base) is its inverse edges reversed.
-    The steps are written directly, as :func:`to_factorization` would make
-    them from that letter sequence: a power joins the exponent before it."""
+    The steps are written directly, as :func:`parse_factorization` would
+    make them from that word's text: a power joins the exponent before it."""
     if not graph.has_vertex(base):
         raise GraphError(f"unknown vertex {base!r}")
     by_name = graph.by_name

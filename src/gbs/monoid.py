@@ -19,7 +19,7 @@ from operator import add, ge, sub
 from typing import Optional, Sequence
 
 from . import arith
-from .graphs import EdgeLetter, GbsGraph, GbsError, InternalError, Letter, orientation
+from .graphs import GbsGraph, GbsError, InternalError, orientation
 
 ExpVec = tuple  # tuple[int, ...]
 
@@ -350,9 +350,9 @@ class MonoidEncoding:
     relation absorbing squared signs.  Every relation side holds one vertex
     unit, so the vertex slots are the presentation's units: the completion
     for a vertex power never resolves a critical pair of two different
-    vertices.  ``step_letters`` maps a relation applied r->s to the
-    conjugating edge letter (None for sign relations); the reverse
-    application conjugates by the inverse edge.
+    vertices.  ``step_letters`` names each relation's edge, the one of
+    :func:`graphs.orientation` (None for sign relations); applied r->s, the
+    relation conjugates by the edge's inverse, applied s->r by the edge.
     """
 
     graph: GbsGraph
@@ -374,25 +374,16 @@ class MonoidEncoding:
         """The vector of :meth:`split`, without the residual."""
         return self.split(vertex, k)[1]
 
-    def conjugator_letter(self, step: PathStep) -> Optional[Letter]:
-        idx, direction = step
-        name = self.step_letters[idx]
-        if name is None:
-            return None
-        if direction > 0:
-            return EdgeLetter(self.graph.inverse(name))
-        return EdgeLetter(name)
-
-    def witness_letters(self, path: Sequence[PathStep]) -> tuple[Letter, ...]:
-        """Conjugator word for a relation path: the per-step edge letters
-        composed so the whole word maps the path's start to its end."""
-        letters = []
-        for step in path:
-            letter = self.conjugator_letter(step)
-            if letter is not None:
-                letters.append(letter)
-        letters.reverse()
-        return tuple(letters)
+    def conjugator_path(self, path: Sequence[PathStep]) -> tuple[str, ...]:
+        """Edge names of a conjugator for a relation path: a step r->s
+        conjugates by the inverse of its relation's edge, a step s->r by the
+        edge, a sign step by nothing, and the steps compose right to left,
+        so the word maps the path's start to its end."""
+        edges = self.step_letters
+        return tuple(
+            self.graph.inverse(edges[i]) if d > 0 else edges[i]
+            for i, d in reversed(path) if edges[i] is not None
+        )
 
 
 def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:

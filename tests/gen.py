@@ -9,9 +9,8 @@ import random
 import string
 from typing import Optional, Sequence
 
-from gbs.conjugacy import invert_letters
 from gbs.freegroup import FWord
-from gbs.graphs import Edge, GbsGraph, GFactorization, Letter, invert, to_factorization
+from gbs.graphs import Edge, GbsGraph, GFactorization, concat, invert
 
 
 def _nonzero(rng: random.Random, max_abs: int) -> int:
@@ -78,11 +77,11 @@ def random_closed_factorization(
     raise RuntimeError("no closed walk found within the attempt cap")
 
 
-def random_conjugator_letters(
+def random_conjugator(
     rng: random.Random, graph: GbsGraph, base: str, max_len: int = 6, max_exp: int = 4
-) -> tuple[Letter, ...]:
-    """Letters of a random word ending at ``base`` (an open path), suitable
-    as a conjugator ``z`` in ``z v z^-1`` for v closed at ``base``."""
+) -> GFactorization:
+    """A random word ending at ``base`` (an open path), suitable as a
+    conjugator ``z`` in ``z v z^-1`` for v closed at ``base``."""
     n = rng.randint(0, max_len)
     cur = base
     names = []
@@ -98,16 +97,15 @@ def random_conjugator_letters(
         graph, base, rng.randint(-max_exp, max_exp),
         tuple((name, rng.randint(-max_exp, max_exp)) for name in names),
     )
-    return invert(away).letters()
+    return invert(away)
 
 
 def conjugated_word(
     rng: random.Random, graph: GbsGraph, v: GFactorization, max_len: int = 6
 ) -> GFactorization:
     """A word equal to ``z v z^-1`` for a random conjugator z."""
-    z = random_conjugator_letters(rng, graph, v.base, max_len)
-    letters = list(z) + list(v.letters()) + list(invert_letters(z, graph))
-    return to_factorization(letters, graph)
+    z = random_conjugator(rng, graph, v.base, max_len)
+    return concat(z, v, invert(z))
 
 
 def random_fword(

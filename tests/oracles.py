@@ -4,8 +4,10 @@ Everything here is deliberately naive: leftmost-first rewriting with list
 deletions, cyclic reduction by rotating the last edge round to the front,
 chain search over vertex powers, brute-force conjugacy over a radius, and the
 closed formula for the one-loop group.  Witnesses are replayed through the
-rewriting reducer.  From ``gbs`` this module uses only the data types and
-word helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
+rewriting reducer, after joining them letter by letter with
+:func:`to_factorization`, the reference for ``parse_factorization`` and
+``concat``.  From ``gbs`` this module uses only the data types and word
+helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
 cross-check never runs the code it checks
 (``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
 """
@@ -23,8 +25,65 @@ from gbs.graphs import (
     VertexPower,
     WordError,
     invert,
-    to_factorization,
 )
+
+
+def letters(f: GFactorization) -> tuple[Letter, ...]:
+    """The letters of f: its nonzero powers and its edges, in order."""
+    out: list[Letter] = []
+    if f.k0:
+        out.append(VertexPower(f.base, f.k0))
+    g = f.graph
+    for name, k in f.steps:
+        out.append(EdgeLetter(name))
+        if k:
+            out.append(VertexPower(g.target(name), k))
+    return tuple(out)
+
+
+def to_factorization(word: Sequence[Letter], graph: GbsGraph) -> GFactorization:
+    """Normalize a letter sequence: merge adjacent vertex powers, insert zero
+    exponents between consecutive edges, and check that powers sit at the
+    vertex the path is passing through.  The empty word lies at the first
+    vertex."""
+    base: Optional[str] = None
+    k0 = 0
+    steps: list[list] = []
+    cur: Optional[str] = None
+    for letter in word:
+        if isinstance(letter, VertexPower):
+            if not graph.has_vertex(letter.vertex):
+                raise WordError(f"unknown vertex {letter.vertex!r}")
+            if cur is None:
+                base = cur = letter.vertex
+            elif letter.vertex != cur:
+                raise WordError(
+                    f"vertex power {letter.vertex!r} at path position {cur!r}"
+                )
+            if steps:
+                steps[-1][1] += letter.exp
+            else:
+                k0 += letter.exp
+        else:
+            e = graph.edge(letter.edge)
+            if cur is None:
+                base = cur = e.src
+            elif e.src != cur:
+                raise WordError(f"edge {e.name} does not continue the path at {cur}")
+            steps.append([e.name, 0])
+            cur = e.dst
+    if base is None:
+        if not graph.vertices:
+            raise WordError("empty graph")
+        base = graph.vertices[0]
+    return GFactorization(graph, base, k0, tuple((n, k) for n, k in steps))
+
+
+def join(*parts: GFactorization) -> GFactorization:
+    """The parts' letters joined into one factorization, each opened by a
+    zero power at its base so that every seam is checked."""
+    word = [x for p in parts for x in (VertexPower(p.base, 0), *letters(p))]
+    return to_factorization(word, parts[0].graph)
 
 
 def britton_reduce_naive(f: GFactorization) -> GFactorization:
@@ -76,7 +135,7 @@ def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Le
         rotated = britton_reduce_naive(front)
         if rotated.n == h.n:
             break
-        z[:0] = GFactorization(g, g.source(name), 0, ((name, k),)).letters()
+        z[:0] = letters(GFactorization(g, g.source(name), 0, ((name, k),)))
         h = rotated
     if h.n == 0:
         return h, tuple(z)
@@ -87,19 +146,15 @@ def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Le
     return GFactorization(g, h.base, 0, rest + ((name, k + c),)), tuple(z)
 
 
-def _inverse(letters: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
-    return invert(to_factorization(letters, graph)).letters()
+def _inverse(word: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
+    return letters(invert(to_factorization(word, graph)))
 
 
-def replays_to_identity(
-    witness: Sequence[Letter], v: GFactorization, w: GFactorization
-) -> bool:
-    """Whether ``witness v witness^-1 w^-1`` is a closed word that the
-    rewriting oracle reduces to the empty word with exponent zero."""
-    g = v.graph
+def replays_to_identity(z: GFactorization, v: GFactorization, w: GFactorization) -> bool:
+    """Whether ``z v z^-1 w^-1`` joins into a closed word that the rewriting
+    oracle reduces to the empty word with exponent zero."""
     try:
-        letters = tuple(witness) + v.letters() + _inverse(witness, g) + invert(w).letters()
-        f = to_factorization(letters, g)
+        f = join(z, v, invert(z), invert(w))
     except WordError:
         return False
     h = britton_reduce_naive(f)
@@ -147,17 +202,17 @@ def elliptic_closure(
 
 
 def _chain_letters(parents, goal) -> tuple[Letter, ...]:
-    letters: list[Letter] = []
+    chain: list[Letter] = []
     state = goal
     while parents[state] is not None:
         state, name = parents[state]
-        letters.append(EdgeLetter(name))
-    return tuple(letters)
+        chain.append(EdgeLetter(name))
+    return tuple(chain)
 
 
 def conj_brute_status(
     v: GFactorization, w: GFactorization, radius: int
-) -> tuple[ConjVerdict, Optional[tuple[Letter, ...]]]:
+) -> tuple[ConjVerdict, Optional[GFactorization]]:
     """Search-only conjugacy oracle.
 
     Elliptic pairs: breadth-first chain search over (vertex, exponent)
@@ -167,6 +222,14 @@ def conj_brute_status(
     UNKNOWN.  Witnesses are replayed before being returned.
     """
     graph = v.graph
+
+    def witness(word: Sequence[Letter]) -> Optional[GFactorization]:
+        try:
+            z = to_factorization((VertexPower(w.base, 0), *word), graph)
+        except WordError:
+            return None
+        return z if replays_to_identity(z, v, w) else None
+
     vh, zv = cyclically_reduce_naive(v)
     wh, zw = cyclically_reduce_naive(w)
     zw_inv = _inverse(zw, graph)
@@ -175,10 +238,8 @@ def conj_brute_status(
         parents, capped = elliptic_closure(graph, vh.base, vh.k0, radius)
         goal = (wh.base, wh.k0)
         if goal in parents:
-            witness = zw_inv + _chain_letters(parents, goal) + zv
-            if replays_to_identity(witness, v, w):
-                return ConjVerdict.CONJUGATE, witness
-            return ConjVerdict.UNKNOWN, None
+            z = witness(zw_inv + _chain_letters(parents, goal) + zv)
+            return (ConjVerdict.UNKNOWN, None) if z is None else (ConjVerdict.CONJUGATE, z)
         return (ConjVerdict.UNKNOWN if capped else ConjVerdict.NOT_CONJUGATE), None
 
     if vh.n == 0 or wh.n == 0 or vh.n != wh.n:
@@ -193,7 +254,7 @@ def conj_brute_status(
         steps = wh.steps[r:] + wh.steps[:r]  # the rotation zr wh zr^-1
         if [name for name, _ in steps] != path:
             continue
-        zr = GFactorization(graph, graph.source(steps[0][0]), 0, wh.steps[r:]).letters()
+        zr = letters(GFactorization(graph, graph.source(steps[0][0]), 0, wh.steps[r:]))
         ls = [k for _, k in steps]
 
         def works(x: int) -> bool:
@@ -213,15 +274,15 @@ def conj_brute_status(
             if not works(x):
                 continue
             middle = (VertexPower(vh.base, x),) if x else ()
-            witness = zw_inv + _inverse(zr, graph) + middle + zv
-            if replays_to_identity(witness, v, w):
-                return ConjVerdict.CONJUGATE, witness
+            z = witness(zw_inv + _inverse(zr, graph) + middle + zv)
+            if z is not None:
+                return ConjVerdict.CONJUGATE, z
     return ConjVerdict.UNKNOWN, None
 
 
 def conj_brute(
     v: GFactorization, w: GFactorization, radius: int
-) -> Optional[tuple[Letter, ...]]:
+) -> Optional[GFactorization]:
     """A replayed conjugator found by brute search, or None (inconclusive)."""
     verdict, witness = conj_brute_status(v, w, radius)
     return witness if verdict is ConjVerdict.CONJUGATE else None

@@ -1,7 +1,9 @@
 import pytest
 
+from gbs import graphs
 from gbs.cli import main
 from conftest import AMALGAM, BS23, EXAMPLE_WORD
+from oracles import replays_to_identity
 
 
 @pytest.fixture
@@ -15,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def conj_witness(out, graph):
+    """The witness line of a positive ``conj --witness`` answer, checked to
+    be the canonical text of the word it names."""
+    verdict, witness = out.strip().splitlines()
+    assert verdict == "conjugate"
+    assert str(graphs.parse_factorization(witness, graph)) == witness
+    return witness
 
 
 def test_validate_ok(capsys, bs_path):
@@ -80,8 +91,15 @@ def test_conj_yes_with_witness(capsys, bs_path):
         capsys, "conj", "--literal", "--witness", bs_path, "a^2", "a^3"
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "conjugate" and lines[1] == "y"
+    assert conj_witness(out, graphs.bs_graph(2, 3)) == "y"
+
+
+@pytest.mark.parametrize("v, w, witness", [("a y", "a y", "1"), ("a y", "y", "a^2")])
+def test_conj_witness_is_canonical(capsys, bs_path, v, w, witness):
+    # exponents merged and zero powers dropped, as in every other word printed
+    code, out, err = run(capsys, "conj", "--literal", "--witness", bs_path, v, w)
+    assert code == 0 and err == ""
+    assert conj_witness(out, graphs.bs_graph(2, 3)) == witness
 
 
 FOUR_VERTICES = """\
@@ -103,10 +121,6 @@ edge Y3 c c 4 2 y3
 def test_conj_identities_at_different_vertices(capsys, tmp_path):
     # both words reduce to the identity, one at d and one at c; the witness
     # must still be a path between the two base vertices
-    from gbs import graphs
-    from gbs.conjugacy import invert_letters
-    from oracles import britton_reduce_naive
-
     p = tmp_path / "g.graph"
     p.write_text(FOUR_VERTICES)
     v = "d^-1 Y2 a^-4 y2 d^3"
@@ -116,14 +130,11 @@ def test_conj_identities_at_different_vertices(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "conj", "--literal", "--witness", str(p), v, w)
     assert code == 0
-    verdict, witness = out.strip().splitlines()
-    assert verdict == "conjugate"
     g = graphs.parse_graph(FOUR_VERTICES)
-    z = graphs.parse_word(witness, g)
-    w_inv = graphs.invert(graphs.to_factorization(graphs.parse_word(w, g), g))
-    replay = z + graphs.parse_word(v, g) + invert_letters(z, g) + w_inv.letters()
-    reduced = britton_reduce_naive(graphs.to_factorization(replay, g))
-    assert reduced.is_closed and reduced.n == 0 and reduced.k0 == 0
+    z = graphs.parse_factorization(conj_witness(out, g), g)
+    v, w = (graphs.parse_factorization(t, g) for t in (v, w))
+    assert (z.base, z.end) == (w.base, v.base) == ("c", "d")
+    assert replays_to_identity(z, v, w)
 
 
 def test_conj_no(capsys, bs_path):
@@ -179,8 +190,6 @@ def test_monoid_congruent_unknown(capsys, tmp_path):
 
 
 def test_convert_emits_parseable_graph(capsys, tmp_path):
-    from gbs import graphs
-
     pres = tmp_path / "p.mon"
     pres.write_text("dim 2\nrel 2,0 ~ 0,1\n")
     code, out, _ = run(capsys, "convert", "monoid-to-gbs", str(pres), "2,0", "0,1")
@@ -253,19 +262,15 @@ Q40 = 3 * 10**39 + 37
 def test_elliptic_conj_on_a_product_of_two_40_digit_primes(capsys, tmp_path):
     # y a^2 Y = a^N: a^4 ~ a^(N^2) through y y, while a^4 and a^N are apart,
     # as every move keeps the sum of the exponents over the basis {2, N}
-    from gbs import graphs
-    from oracles import replays_to_identity
-
     n = P40 * Q40
     p = tmp_path / "g.graph"
     p.write_text(f"bs 2 {n}\n")
     code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^4", f"a^{n * n}")
     assert code == 0 and err == ""
-    verdict, witness = out.strip().splitlines()
-    assert verdict == "conjugate"
     g = graphs.parse_graph(p.read_text())
+    witness = conj_witness(out, g)
     v, w = (graphs.parse_factorization(t, g) for t in ("a^4", f"a^{n * n}"))
-    assert replays_to_identity(graphs.parse_word(witness, g), v, w)
+    assert replays_to_identity(graphs.parse_factorization(witness, g), v, w)
     code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^4", f"a^{n}")
     assert code == 1 and err == "" and out.strip() == "not-conjugate"
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbs import conjugacy
+from gbs import conjugacy, monoid
 from gbs.britton import cyclically_reduce_with_conjugator
 from gbs.conjugacy import (
     ConjVerdict,
@@ -17,11 +17,11 @@ from gbs.conjugacy import (
 from gbs.graphs import (
     GbsError,
     GFactorization,
+    InternalError,
     WordError,
     bs_graph,
-    letters_to_text,
+    parse_factorization,
     parse_graph,
-    parse_word,
 )
 import gen
 from conftest import fact
@@ -32,16 +32,16 @@ def test_conjugate_hyperbolic_example(bs23):
     v, w = fact(bs23, "y a"), fact(bs23, "y")
     res = conjugate(v, w)
     assert res.verdict is ConjVerdict.CONJUGATE
-    assert letters_to_text(res.witness) == "a^3"
+    assert str(res.witness) == "a^3"
     assert verify_conjugator(res.witness, v, w)
     # the defining witness from the worked equations also checks out
-    assert verify_conjugator(parse_word("a^3", bs23), v, w)
+    assert verify_conjugator(fact(bs23, "a^3"), v, w)
 
 
 def test_conjugate_defining_relation(bs23):
     res = conjugate(fact(bs23, "a^2"), fact(bs23, "a^3"))
     assert res.verdict is ConjVerdict.CONJUGATE
-    assert letters_to_text(res.witness) == "y"
+    assert str(res.witness) == "y"
 
 
 def test_conjugate_path_mismatch(bs23):
@@ -411,11 +411,11 @@ def test_conj_elliptic_bs_against_chain_search(bs23):
 def test_conj_elliptic_examples(bs23):
     res = conj_elliptic("a", 12, "a", 18, bs23)
     assert res.verdict is ConjVerdict.CONJUGATE
-    assert letters_to_text(res.witness) == "y"
+    assert str(res.witness) == "y"
     res = conj_elliptic("a", 2, "a", -2, bs23)
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
     res = conj_elliptic("a", 0, "a", 0, bs23)
-    assert res.verdict is ConjVerdict.CONJUGATE and res.witness == ()
+    assert res.verdict is ConjVerdict.CONJUGATE and res.witness == GFactorization(bs23, "a", 0, ())
     res = conj_elliptic("a", 0, "a", 3, bs23)
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
 
@@ -441,7 +441,7 @@ def test_conj_brute_examples(bs23):
     assert w is not None
     assert verify_conjugator(w, fact(bs23, "y a"), fact(bs23, "y"))
     w = conj_brute(fact(bs23, "a^4"), fact(bs23, "a^9"), 100)
-    assert letters_to_text(w) == "y y"
+    assert str(w) == "y y"
     assert conj_brute(fact(bs23, "a"), fact(bs23, "a^2"), 10**6) is None
     verdict, _ = conj_brute_status(fact(bs23, "a"), fact(bs23, "a^2"), 10**6)
     assert verdict is ConjVerdict.NOT_CONJUGATE
@@ -477,9 +477,7 @@ def test_solver_properties_on_random_corpus():
         vh, _ = cyclically_reduce_with_conjugator(v)
         if vh.n:
             r = rng.randrange(vh.n)
-            from gbs.britton import _rotate_with_conjugator
-
-            rot, _ = _rotate_with_conjugator(vh, r)
+            rot = GFactorization(g, g.source(vh.steps[r][0]), 0, vh.steps[r:] + vh.steps[:r])
             res_rot = conjugate(rot, w)
             if _decided(res.verdict) and _decided(res_rot.verdict):
                 assert res.verdict == res_rot.verdict
@@ -577,13 +575,23 @@ def test_conj_elliptic_matches_chain_search_on_shared_composite_labels():
 def test_verify_conjugator_rejects_broken_witnesses(amalgam):
     # t b^3 T = a^2, so T conjugates a^2 to b^3: T a^2 t = b^3
     v, w = fact(amalgam, "a^2"), fact(amalgam, "b^3")
-    assert verify_conjugator(parse_word("T", amalgam), v, w)
-    assert verify_conjugator(parse_word("b^5 T a^-1", amalgam), v, w)
-    assert not verify_conjugator(parse_word("T", amalgam), v, fact(amalgam, "b^6"))  # not 1
-    assert not verify_conjugator(parse_word("t", amalgam), v, w)  # starts off w's base
-    assert not verify_conjugator(parse_word("T T", amalgam), v, w)  # not a path
-    assert not verify_conjugator((), v, w)  # does not close up
-    assert not verify_conjugator(parse_word("T", amalgam), v, fact(amalgam, "t b^3 T"))  # w at a
+    assert verify_conjugator(fact(amalgam, "T"), v, w)
+    assert verify_conjugator(fact(amalgam, "b^5 T a^-1"), v, w)
+    assert not verify_conjugator(fact(amalgam, "T"), v, fact(amalgam, "b^6"))  # not 1
+    assert not verify_conjugator(fact(amalgam, "t"), v, w)  # starts off w's base
+    with pytest.raises(WordError):  # not a path, so not a word at all
+        parse_factorization("T T", amalgam)
+    assert not verify_conjugator(GFactorization(amalgam, "b", 0, ()), v, w)  # does not close up
+    assert not verify_conjugator(fact(amalgam, "T"), v, fact(amalgam, "t b^3 T"))  # w at a
+
+
+@pytest.mark.parametrize("path", [("T", "T"), ("zz",), ()], ids=["not-a-path", "no-edge", "wrong-start"])
+def test_a_conjugator_path_that_fails_is_an_internal_error(amalgam, monkeypatch, path):
+    # T conjugates b^3 to a^2 (test above); any other monoid-derived path is
+    # a fault of the package, never a bad input word
+    monkeypatch.setattr(monoid.MonoidEncoding, "conjugator_path", lambda self, steps: path)
+    with pytest.raises(InternalError):
+        conj_elliptic("b", 3, "a", 2, amalgam)
 
 
 def test_one_loop_hyperbolic_sweep():

@@ -38,7 +38,7 @@ def test_oracles_share_no_code_with_the_fast_paths():
     # a cross-check is only worth something while the two sides are
     # independent: besides the standard library, the oracles import the data
     # types and word helpers of gbs.graphs and the verdict enum, never a
-    # reducer, walk or verifier (nor gen, which imports gbs.conjugacy).  The
+    # reducer, walk or verifier (nor gen, which imports gbs.freegroup).  The
     # other way round, the stdlib-only guard above already keeps src/gbs from
     # importing oracles or gen, which are not in the standard library.
     path = SRC.parent.parent / "tests" / "oracles.py"
