@@ -5,7 +5,10 @@ cyclically Britton-reduced normal forms, and decides conjugacy (with
 verified witnesses) for fundamental groups of finite graphs of groups whose
 vertex and edge groups are all infinite cyclic.  It also converts between
 commutative-monoid word-problem instances and elliptic conjugacy instances.
-Words, normal forms and witnesses are all :class:`GFactorization` values.
+Words, normal forms and witnesses are all :class:`GFactorization` values,
+and :func:`parse_factorization` is the one reader of word text; the
+``--pi1`` reading, :func:`rebase`, runs it on each token and joins the
+tokens to the base through the :func:`spanning_tree`.
 The paper's colouring construction lives in ``gbs.britton`` and
 ``gbs.freegroup`` and is not exported; the tests check it and the fast
 paths against the reference implementations in ``tests/oracles.py``.
@@ -27,19 +30,16 @@ from .conjugacy import (
     hyperbolic_system,
 )
 from .graphs import (
-    EdgeLetter,
     GbsError,
     GbsGraph,
     GFactorization,
     GraphError,
-    VertexPower,
     WordError,
     bs_graph,
     invert,
     orientation,
     parse_factorization,
     parse_graph,
-    parse_word,
     rebase,
     spanning_tree,
     validate,

@@ -57,10 +57,7 @@ def _word_text(arg: str, literal: bool) -> str:
 def _factorization(arg: str, graph, args) -> graphs.GFactorization:
     text = _word_text(arg, args.literal)
     if getattr(args, "pi1", False):
-        letters = graphs.parse_word(text, graph)  # rebase takes letters at any vertex
-        tree = graphs.spanning_tree(graph)
-        base = args.base or min(graph.vertices)
-        return graphs.rebase(letters, graph, tree, base)
+        return graphs.rebase(text, graph, args.base or min(graph.vertices))
     return graphs.parse_factorization(text, graph)
 
 

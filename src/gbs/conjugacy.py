@@ -32,7 +32,6 @@ from .graphs import (
     WordError,
     concat,
     invert,
-    spanning_tree,
     tree_path,
 )
 
@@ -211,7 +210,7 @@ def conj_elliptic(
     the sign and basis exponents (see :func:`monoid.congruent`); when it
     stops the completion short, the verdict is UNKNOWN."""
     if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
-        steps = tuple((name, 0) for name in tree_path(graph, spanning_tree(graph), b, a))
+        steps = tuple((name, 0) for name in tree_path(graph, b, a))
         return ConjResult(ConjVerdict.CONJUGATE, GFactorization(graph, b, 0, steps))
     if k == 0 or ell == 0:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="only 1 is conjugate to 1")
@@ -251,7 +250,9 @@ def conjugate(
 
     if vh.n == 0 and wh.n == 0:
         res = conj_elliptic(vh.base, vh.k0, wh.base, wh.k0, graph, bound)
-        if res.verdict is not ConjVerdict.CONJUGATE:
+        # bare powers reduce to themselves with empty conjugators, so
+        # conj_elliptic has already verified this witness for v and w
+        if res.verdict is not ConjVerdict.CONJUGATE or (v.n == 0 and w.n == 0):
             return res
         return _verified("elliptic", v, w, lambda: concat(invert(zw), res.witness, zv))
 

@@ -10,7 +10,7 @@ procedure in this package works on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 
 class GbsError(ValueError):
@@ -53,19 +53,6 @@ _set_name, _set_src, _set_dst, _set_alpha, _set_beta, _set_inv = (
     vars(Edge)[f].__set__ for f in Edge.__slots__
 )
 
-
-@dataclass(frozen=True)
-class VertexPower:
-    vertex: str
-    exp: int
-
-
-@dataclass(frozen=True)
-class EdgeLetter:
-    edge: str
-
-
-Letter = Union[VertexPower, EdgeLetter]
 
 # reserved: prints as the empty word
 _EMPTY_TOKEN = "1"
@@ -255,37 +242,20 @@ def validate(graph: GbsGraph) -> list[str]:
     return report
 
 
-def _search(
-    graph: GbsGraph, root: str, edges: Optional[frozenset] = None
-) -> dict[str, Optional[tuple[str, str]]]:
-    """Breadth-first search from ``root`` along out-edges in file order, using
-    only ``edges`` when given.  Maps every vertex reached to the step that
-    first reached it, ``(previous vertex, edge name)``, and ``root`` to None."""
+def _search(graph: GbsGraph, root: str) -> dict[str, Optional[tuple[str, str]]]:
+    """Breadth-first search from ``root`` along out-edges in file order.
+    Maps every vertex reached to the step that first reached it,
+    ``(previous vertex, edge name)``, and ``root`` to None."""
     by_name, out = graph.by_name, graph._out
     prev: dict[str, Optional[tuple[str, str]]] = {root: None}
     order = [root]
     for v in order:  # the list grows as the search goes: a FIFO queue
         for name in out.get(v, ()):
-            if edges is None or name in edges:
-                w = by_name[name].dst
-                if w not in prev:
-                    prev[w] = (v, name)
-                    order.append(w)
+            w = by_name[name].dst
+            if w not in prev:
+                prev[w] = (v, name)
+                order.append(w)
     return prev
-
-
-def _path_to(prev: dict, root: str, goal: str) -> list[str]:
-    """Edge names from ``root`` to ``goal`` in the result of a :func:`_search`
-    from ``root``."""
-    if goal not in prev:
-        raise GraphError(f"no tree path from {root} to {goal}")
-    path: list[str] = []
-    step = prev[goal]
-    while step is not None:
-        path.append(step[1])
-        step = prev[step[0]]
-    path.reverse()
-    return path
 
 
 @dataclass(frozen=True)
@@ -336,35 +306,12 @@ class GFactorization:
         return " ".join(toks) if toks else _EMPTY_TOKEN
 
 
-def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
-    """Parse whitespace-separated tokens ``<vertex>^<int>``, ``<vertex>``
-    (exponent 1) and ``<edge-id>``; the token ``1`` is the empty word."""
-    letters: list[Letter] = []
-    for tok in text.split():
-        if tok == _EMPTY_TOKEN:
-            continue
-        if "^" in tok:
-            name, _, exp = tok.partition("^")
-            if not graph.has_vertex(name):
-                raise WordError(f"unknown vertex {name!r}")
-            try:
-                k = int(exp)
-            except ValueError:
-                raise WordError(f"malformed exponent in {tok!r}") from None
-            letters.append(VertexPower(name, k))
-        elif graph.has_edge(tok):
-            letters.append(EdgeLetter(tok))
-        elif graph.has_vertex(tok):
-            letters.append(VertexPower(tok, 1))
-        else:
-            raise WordError(f"unknown id {tok!r}")
-    return tuple(letters)
-
-
 def parse_factorization(text: str, graph: GbsGraph) -> GFactorization:
-    """Parse the tokens of :func:`parse_word` into a factorization in one
-    pass: adjacent powers merge, edges in a row get zero exponents, and a
-    power or edge off the path is reported once every token is parsed."""
+    """Parse whitespace-separated tokens ``<vertex>^<int>``, ``<vertex>``
+    (exponent 1) and ``<edge-id>``, the token ``1`` being the empty word,
+    into a factorization in one pass: adjacent powers merge, edges in a row
+    get zero exponents, and a power or edge off the path is reported once
+    every token is parsed.  This is the package's one word grammar."""
     vertices, by_name = graph._vertex_set, graph.by_name
     base = cur = None
     k0 = 0
@@ -444,16 +391,52 @@ def concat(*parts: GFactorization) -> GFactorization:
     return GFactorization(first.graph, first.base, k0, tuple(steps))
 
 
+def _tree_paths(
+    graph: GbsGraph, start: Optional[str] = None
+) -> tuple[dict[str, Optional[tuple[str, str]]], Callable[[str], list[str]]]:
+    """The search behind :func:`spanning_tree`, breadth-first from the least
+    vertex (the root), and a function giving the edge names of path(start, v)
+    in that tree, ``start`` defaulting to the root: path(root, start)
+    inverted, then path(root, v), less their common prefix, which is the one
+    reduced path between the two in a tree.  The graph is taken as valid
+    (see :func:`validate`) apart from connectivity, which the search checks."""
+    if start is not None and not graph.has_vertex(start):
+        raise GraphError(f"unknown vertex {start!r}")
+    if not graph.vertices:
+        raise GraphError("graph has no vertices")
+    root = min(graph.vertices)
+    prev = _search(graph, root)
+    if any(v not in prev for v in graph.vertices):
+        raise GraphError("graph is not connected")
+    start = root if start is None else start
+
+    def from_root(v: str) -> list[str]:
+        if v not in prev:
+            raise GraphError(f"no tree path from {start} to {v}")
+        path = []
+        while prev[v] is not None:
+            v, name = prev[v]
+            path.append(name)
+        return path[::-1]
+
+    up = from_root(start)
+
+    def path_from_start(v: str) -> list[str]:
+        down = from_root(v)
+        i = 0
+        while i < min(len(up), len(down)) and up[i] == down[i]:
+            i += 1
+        return [graph.by_name[name].inv for name in reversed(up[i:])] + down[i:]
+
+    return prev, path_from_start
+
+
 def spanning_tree(graph: GbsGraph) -> frozenset:
     """Deterministic spanning tree: breadth-first from the lexicographically
     least vertex, edges explored in file order.  Contains both directions of
-    every selected edge pair.  The graph is taken as valid (see
-    :func:`validate`) apart from connectivity, which the search checks."""
-    if not graph.vertices:
-        raise GraphError("graph has no vertices")
-    prev = _search(graph, min(graph.vertices))
-    if any(v not in prev for v in graph.vertices):
-        raise GraphError("graph is not connected")
+    every selected edge pair.  It is the tree whose paths :func:`tree_path`
+    and :func:`rebase` follow."""
+    prev, _ = _tree_paths(graph)
     tree: set[str] = set()
     for step in prev.values():
         if step is not None:
@@ -462,48 +445,42 @@ def spanning_tree(graph: GbsGraph) -> frozenset:
     return frozenset(tree)
 
 
-def tree_path(graph: GbsGraph, tree: frozenset, start: str, goal: str) -> tuple[str, ...]:
-    """Edge names of the unique reduced path from start to goal inside a
-    spanning tree."""
-    return tuple(_path_to(_search(graph, start, tree), start, goal))
+def tree_path(graph: GbsGraph, start: str, goal: str) -> tuple[str, ...]:
+    """Edge names of the unique reduced path from start to goal inside the
+    :func:`spanning_tree`, found by that tree's own search."""
+    return tuple(_tree_paths(graph, start)[1](goal))
 
 
-def rebase(
-    letters: Sequence[Letter], graph: GbsGraph, tree: frozenset, base: str
-) -> GFactorization:
+def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
     """Image of a word under the isomorphism onto the fundamental group based
-    at ``base``: every edge letter y becomes path(base, source(y)) y
-    path(target(y), base) and every power v^k becomes path(base, v) v^k
-    path(v, base); the result is a closed factorization at ``base``.
+    at ``base``, relative to the :func:`spanning_tree`: every edge y becomes
+    path(base, source(y)) y path(target(y), base) and every power v^k
+    becomes path(base, v) v^k path(v, base); the result is a closed
+    factorization at ``base``.
 
-    One tree search from ``base`` serves every letter: each vertex's path
-    is walked back once, and path(v, base) is its inverse edges reversed.
-    The steps are written directly, as :func:`parse_factorization` would
-    make them from that word's text: a power joins the exponent before it."""
-    if not graph.has_vertex(base):
-        raise GraphError(f"unknown vertex {base!r}")
+    Each token of ``text`` but ``1`` is read on its own by
+    :func:`parse_factorization` (so ``v^0`` still makes its round trip),
+    and all of them before ``base`` is checked.  The tree's one search
+    serves every token: each vertex's path is found once, and path(v, base)
+    is its inverse edges reversed.  The steps are written directly, as
+    :func:`parse_factorization` would make them from that word's text."""
+    words = [parse_factorization(tok, graph) for tok in text.split() if tok != _EMPTY_TOKEN]
+    _, path_from_base = _tree_paths(graph, base)
     by_name = graph.by_name
-    prev = _search(graph, base, tree)
     paths: dict[str, tuple[list, list]] = {}
     steps: list = [(None, 0)]  # the head holds the power at base before any edge
-    for letter in letters:
-        if isinstance(letter, EdgeLetter):
-            e = graph.edge(letter.edge)
-            src, dst = e.src, e.dst
-        else:
-            e, src, dst = None, letter.vertex, letter.vertex
+    for f in words:  # a power v^k, or an edge with k0 = 0
+        src, dst = f.base, f.end
         for v in (src, dst):
             if v not in paths:
-                there = _path_to(prev, base, v)
+                there = path_from_base(v)
                 paths[v] = (
                     [(name, 0) for name in there],
                     [(by_name[name].inv, 0) for name in reversed(there)],
                 )
         steps += paths[src][0]
-        if e is not None:
-            steps.append((e.name, 0))
-        else:
-            steps[-1] = (steps[-1][0], steps[-1][1] + letter.exp)
+        steps[-1] = (steps[-1][0], steps[-1][1] + f.k0)
+        steps += f.steps
         steps += paths[dst][1]
     return GFactorization(graph, base, steps[0][1], tuple(steps[1:]))
 

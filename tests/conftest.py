@@ -1,7 +1,7 @@
 import pytest
 
 from gbs import graphs
-from oracles import to_factorization
+from oracles import parse_word, to_factorization
 
 BS23 = "bs 2 3"
 
@@ -46,7 +46,7 @@ def triangle():
 
 @pytest.fixture(scope="session")
 def example_fact(bs23):
-    return to_factorization(graphs.parse_word(EXAMPLE_WORD, bs23), bs23)
+    return to_factorization(parse_word(EXAMPLE_WORD, bs23), bs23)
 
 
 def fact(graph, text):

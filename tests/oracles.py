@@ -3,8 +3,11 @@
 Everything here is deliberately naive: leftmost-first rewriting with list
 deletions, cyclic reduction by rotating the last edge round to the front,
 chain search over vertex powers, brute-force conjugacy over a radius, and the
-closed formula for the one-loop group.  Witnesses are replayed through the
-rewriting reducer, after joining them letter by letter with
+closed formula for the one-loop group.  Words are sequences of letters, the
+:class:`VertexPower` and :class:`EdgeLetter` values defined here; the
+package itself has none.  :func:`parse_word` reads text into letters and is
+the reference grammar for ``parse_factorization``.  Witnesses are replayed
+through the rewriting reducer, after joining them letter by letter with
 :func:`to_factorization`, the reference for ``parse_factorization`` and
 ``concat``.  From ``gbs`` this module uses only the data types and word
 helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
@@ -13,19 +16,56 @@ cross-check never runs the code it checks
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from gbs.conjugacy import ConjVerdict
 from gbs.graphs import (
-    EdgeLetter,
     GbsError,
     GbsGraph,
     GFactorization,
-    Letter,
-    VertexPower,
     WordError,
     invert,
 )
+
+
+@dataclass(frozen=True)
+class VertexPower:
+    vertex: str
+    exp: int
+
+
+@dataclass(frozen=True)
+class EdgeLetter:
+    edge: str
+
+
+Letter = Union[VertexPower, EdgeLetter]
+
+
+def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
+    """Parse whitespace-separated tokens ``<vertex>^<int>``, ``<vertex>``
+    (exponent 1) and ``<edge-id>``; the token ``1`` is the empty word."""
+    word: list[Letter] = []
+    for tok in text.split():
+        if tok == "1":
+            continue
+        if "^" in tok:
+            name, _, exp = tok.partition("^")
+            if not graph.has_vertex(name):
+                raise WordError(f"unknown vertex {name!r}")
+            try:
+                k = int(exp)
+            except ValueError:
+                raise WordError(f"malformed exponent in {tok!r}") from None
+            word.append(VertexPower(name, k))
+        elif graph.has_edge(tok):
+            word.append(EdgeLetter(tok))
+        elif graph.has_vertex(tok):
+            word.append(VertexPower(tok, 1))
+        else:
+            raise WordError(f"unknown id {tok!r}")
+    return tuple(word)
 
 
 def letters(f: GFactorization) -> tuple[Letter, ...]:

@@ -41,7 +41,6 @@ from gbs.graphs import (
     concat,
     invert,
     parse_graph,
-    parse_word,
 )
 from gbs.monoid import (
     MonPresentation,
@@ -60,6 +59,7 @@ from oracles import (
     elliptic_closure,
     is_britton_reduced,
     letters,
+    parse_word,
     to_factorization,
 )
 

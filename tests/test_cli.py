@@ -76,6 +76,26 @@ def test_wp_pi1_tree_edge(capsys, tmp_path):
     assert code == 0 and out.strip() == "trivial"
 
 
+@pytest.mark.parametrize("word, message", [
+    ("t z", "error: unknown id 'z'"),
+    ("a a^x", "error: malformed exponent in 'a^x'"),
+    ("q^2 t", "error: unknown vertex 'q'"),
+])
+def test_pi1_token_error_beats_a_bad_base(capsys, tmp_path, word, message):
+    p = tmp_path / "g.graph"
+    p.write_text(AMALGAM)
+    code, out, err = run(capsys, "wp", "--literal", "--pi1", "--base", "z", str(p), word)
+    assert (code, out, err) == (3, "", message + "\n")
+
+
+@pytest.mark.parametrize("word", ["t b^2 T", "1", ""])
+def test_pi1_bad_base(capsys, tmp_path, word):
+    p = tmp_path / "g.graph"
+    p.write_text(AMALGAM)
+    code, out, err = run(capsys, "reduce", "--literal", "--pi1", "--base", "z", str(p), word)
+    assert (code, out, err) == (3, "", "error: unknown vertex 'z'\n")
+
+
 def test_reduce_prints_normal_form(capsys, bs_path):
     code, out, _ = run(capsys, "reduce", "--literal", bs_path, EXAMPLE_WORD)
     assert code == 0 and out.strip() == "a^15"

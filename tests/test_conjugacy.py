@@ -296,6 +296,22 @@ def _counting_walks(monkeypatch):
     return calls
 
 
+def test_an_elliptic_witness_is_replayed_once_for_bare_powers(bs23, monkeypatch):
+    calls = []
+    verify = conjugacy.verify_conjugator
+    monkeypatch.setattr(conjugacy, "verify_conjugator", lambda z, v, w: calls.append(z) or verify(z, v, w))
+    v, w = fact(bs23, "a^2"), fact(bs23, "a^3")
+    res = conjugate(v, w)
+    assert res.verdict is ConjVerdict.CONJUGATE and str(res.witness) == "y"
+    assert calls == [res.witness]
+    # a pair that cyclic reduction changes still replays the whole witness
+    calls.clear()
+    v = fact(bs23, "y a^2 Y")  # equals a^3
+    res = conjugate(v, fact(bs23, "a^2"))
+    assert res.verdict is ConjVerdict.CONJUGATE and len(calls) == 2
+    assert verify(res.witness, v, fact(bs23, "a^2"))
+
+
 def test_a_proper_power_costs_one_walk(monkeypatch):
     bs22 = bs_graph(2, 2)
     v = GFactorization(bs22, "a", 0, (("y", 1),) * 2000)

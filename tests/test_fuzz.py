@@ -46,8 +46,13 @@ def test_parse_graph_returns_or_raises_gbs_error(text, check):
 
 @FUZZ
 @given(WORDS, st.sampled_from(GRAPHS))
-def test_parse_word_returns_or_raises_gbs_error(text, graph):
-    _returns_or_gbs_error(graphs.parse_word, text, graph)
+def test_rebase_returns_a_closed_word_or_raises_gbs_error(text, graph):
+    for base in graph.vertices:
+        try:
+            f = graphs.rebase(text, graph, base)
+        except graphs.GbsError:
+            continue
+        assert f.base == base and f.is_closed
 
 
 @FUZZ

@@ -12,18 +12,15 @@ from gbs import britton, graphs
 from gbs.cli import main
 from gbs.graphs import (
     Edge,
-    EdgeLetter,
     GbsGraph,
     GFactorization,
     GraphError,
-    VertexPower,
     WordError,
     concat,
     invert,
     orientation,
     parse_factorization,
     parse_graph,
-    parse_word,
     rebase,
     spanning_tree,
     tree_path,
@@ -31,7 +28,7 @@ from gbs.graphs import (
 )
 import gen
 import oracles
-from oracles import to_factorization
+from oracles import EdgeLetter, VertexPower, parse_word, to_factorization
 from conftest import AMALGAM, BS23, EXAMPLE_WORD, TRIANGLE, fact
 
 
@@ -180,12 +177,14 @@ def test_spanning_tree_rejects_a_disconnected_graph():
 def test_pi1_query_validates_the_graph_once(tmp_path, monkeypatch, capsys):
     p = tmp_path / "amalgam.graph"
     p.write_text(AMALGAM)
-    calls = []
-    real = graphs.validate
+    calls, searches = [], []
+    real, real_search = graphs.validate, graphs._search
     monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
-    assert main(["wp", "--pi1", "--literal", str(p), "t b^3 T a^-2"]) == 0
+    monkeypatch.setattr(graphs, "_search", lambda g, root: searches.append(root) or real_search(g, root))
+    assert main(["wp", "--pi1", "--literal", "--base", "b", str(p), "t b^3 T a^-2"]) == 0
     assert capsys.readouterr().out.strip() == "trivial"
     assert len(calls) == 1
+    assert searches == ["a", "a"]  # validate's search and the spanning tree's
 
 
 def test_elliptic_conj_validates_the_graph_once(tmp_path, monkeypatch, capsys):
@@ -213,8 +212,7 @@ def test_spanning_tree_triangle_deterministic(triangle):
 
 
 def test_tree_path(triangle):
-    tree = spanning_tree(triangle)
-    assert tree_path(triangle, tree, "b", "c") == ("ba", "ac")
+    assert tree_path(triangle, "b", "c") == ("ba", "ac")
 
 
 def test_orientation(bs23, amalgam):
@@ -245,20 +243,15 @@ def test_invert_cancels(bs23):
 
 
 def test_rebase_identity_on_one_vertex(bs23):
-    letters = parse_word(EXAMPLE_WORD, bs23)
-    tree = spanning_tree(bs23)
-    assert rebase(letters, bs23, tree, "a") == to_factorization(letters, bs23)
+    assert rebase(EXAMPLE_WORD, bs23, "a") == to_factorization(parse_word(EXAMPLE_WORD, bs23), bs23)
 
 
 def test_rebase_amalgam_vertex_power(amalgam):
-    tree = spanning_tree(amalgam)
-    f = rebase(parse_word("b^2", amalgam), amalgam, tree, "a")
-    assert f == fact(amalgam, "t b^2 T")
+    assert rebase("b^2", amalgam, "a") == fact(amalgam, "t b^2 T")
 
 
 def test_rebase_tree_edge_is_trivial(amalgam):
-    tree = spanning_tree(amalgam)
-    f = rebase(parse_word("t", amalgam), amalgam, tree, "a")
+    f = rebase("t", amalgam, "a")
     assert f.is_closed and britton.word_problem(f)
 
 
@@ -268,22 +261,32 @@ def test_rebase_fixes_closed_words_off_the_tree():
         "edge t a b 1 1 T\nedge T b a 1 1 t\n"
         "edge z a a 2 3 Z\nedge Z a a 3 2 z\n"
     )
-    tree = spanning_tree(g)
-    assert tree == frozenset({"t", "T"})
-    letters = parse_word("z a^2 Z a", g)
-    f = rebase(letters, g, tree, "a")
+    assert spanning_tree(g) == frozenset({"t", "T"})
+    text = "z a^2 Z a"
+    f = rebase(text, g, "a")
     assert f.is_closed and f.base == "a"
-    quotient = oracles.letters(f) + oracles.letters(invert(to_factorization(letters, g)))
+    quotient = oracles.letters(f) + oracles.letters(invert(fact(g, text)))
     assert britton.word_problem(to_factorization(quotient, g))
 
 
 def test_rebase_always_closed_at_base(triangle):
-    tree = spanning_tree(triangle)
     rng = random.Random(3)
     for _ in range(40):
         f = gen.random_closed_factorization(rng, triangle, max_len=8, max_exp=3)
-        r = rebase(oracles.letters(f), triangle, tree, "b")
+        r = rebase(str(f), triangle, "b")
         assert r.base == "b" and r.is_closed
+
+
+def test_rebase_and_tree_path_search_the_graph_once(triangle, monkeypatch):
+    # the spanning tree's own search gives every tree path, from any vertex
+    calls = []
+    real = graphs._search
+    monkeypatch.setattr(graphs, "_search", lambda g, root: calls.append(root) or real(g, root))
+    assert min(triangle.vertices) == "a"
+    f = rebase("bc c^2 cb b ca", triangle, "c")
+    assert f == fact(triangle, "ca ab bc c^2 cb ba ac ca ab b ba ac ca ac")
+    assert calls == ["a"]
+    assert tree_path(triangle, "c", "b") == ("ca", "ab") and calls == ["a", "a"]
 
 
 def test_factorization_rejects_broken_paths(amalgam):
@@ -332,27 +335,30 @@ def test_tree_path_and_rebase_agree_with_depth_first_search():
         tree = spanning_tree(g)
         for a in g.vertices:
             for b in g.vertices:
-                assert tree_path(g, tree, a, b) == _dfs_tree_path(g, tree, a, b)
-        base = rng.choice(g.vertices)
-        letters = []
-        for _ in range(rng.randint(0, 8)):
-            r = rng.random()
-            if r < 0.4:
-                letters.append(EdgeLetter(rng.choice(edges).name))
-            else:  # a power anywhere, at the base, or a run of them at one vertex
-                v = base if r < 0.6 else rng.choice(g.vertices)
-                for _ in range(rng.choice((1, 1, 2, 3))):
-                    letters.append(VertexPower(v, rng.randint(-4, 4)))
-        expected = [VertexPower(base, 0)]
-        for letter in letters:
-            if isinstance(letter, EdgeLetter):
-                src, dst = g.source(letter.edge), g.target(letter.edge)
-            else:
-                src = dst = letter.vertex
-            expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, base, src)]
-            expected.append(letter)
-            expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, dst, base)]
-        assert rebase(letters, g, tree, base) == to_factorization(expected, g)
+                assert tree_path(g, a, b) == _dfs_tree_path(g, tree, a, b)
+        for base in g.vertices:
+            tokens = []
+            for _ in range(rng.randint(0, 8)):
+                r = rng.random()
+                if r < 0.35:
+                    tokens.append(rng.choice(edges).name)
+                elif r < 0.45:
+                    tokens.append("1")
+                else:  # a power anywhere, at the base, or a run of them at one vertex
+                    v = base if r < 0.6 else rng.choice(g.vertices)
+                    for _ in range(rng.choice((1, 1, 2, 3))):
+                        k = rng.randint(-4, 4)  # 0 too: v^0 still makes its round trip
+                        tokens.append(v if k == 1 and rng.random() < 0.5 else f"{v}^{k}")
+            expected = [VertexPower(base, 0)]
+            for letter in parse_word(" ".join(tokens), g):
+                if isinstance(letter, EdgeLetter):
+                    src, dst = g.source(letter.edge), g.target(letter.edge)
+                else:
+                    src = dst = letter.vertex
+                expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, base, src)]
+                expected.append(letter)
+                expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, dst, base)]
+            assert rebase(" ".join(tokens), g, base) == to_factorization(expected, g)
 
 
 def test_path_graph_of_20000_vertices():
@@ -362,12 +368,11 @@ def test_path_graph_of_20000_vertices():
         a, b = (2, 3) if i % 2 else (3, 2)
         lines += [f"edge e{i} v{i} v{i + 1} {a} {b} E{i}", f"edge E{i} v{i + 1} v{i} {b} {a} e{i}"]
     g = parse_graph("\n".join(lines))
-    tree = spanning_tree(g)
-    assert len(tree) == 2 * (n - 1)
-    path = tree_path(g, tree, "v0", f"v{n - 1}")
+    assert len(spanning_tree(g)) == 2 * (n - 1)
+    path = tree_path(g, "v0", f"v{n - 1}")
     assert len(path) == n - 1 and path[0] == "e0" and path[-1] == f"e{n - 2}"
-    u = parse_word(f"v{n - 1}^3 E{n - 2} v{n - 2}^-2 e{n - 2}", g)
-    f = rebase(u + oracles.letters(invert(to_factorization(u, g))), g, tree, "v0")
+    u = f"v{n - 1}^3 E{n - 2} v{n - 2}^-2 e{n - 2}"
+    f = rebase(f"{u} {invert(fact(g, u))}", g, "v0")
     assert f.base == "v0" and f.n > 4 * (n - 1)
     assert britton.word_problem(f)
 
@@ -542,18 +547,28 @@ def test_graph_text_round_trip_and_graph_equality():
 
 
 def test_rebase_errors(amalgam):
-    tree = spanning_tree(amalgam)
+    # every token is read before the base is checked, so a bad token wins
     cases = [
-        ([EdgeLetter("t"), EdgeLetter("x")], "a", "unknown edge 'x'"),
-        ([VertexPower("a", 1), VertexPower("z", 2)], "a", "no tree path from a to z"),
-        ([VertexPower("z", 0)], "b", "no tree path from b to z"),
-        ([EdgeLetter("t")], "z", "unknown vertex 'z'"),
-        ([], "z", "unknown vertex 'z'"),
+        ("t x", "a", WordError, "unknown id 'x'"),
+        ("a z^2", "a", WordError, "unknown vertex 'z'"),
+        ("b a^x", "b", WordError, "malformed exponent in 'a^x'"),
+        ("t z", "z", WordError, "unknown id 'z'"),
+        ("t", "z", GraphError, "unknown vertex 'z'"),
+        ("", "z", GraphError, "unknown vertex 'z'"),
+        ("1 a^0", "z", GraphError, "unknown vertex 'z'"),
     ]
-    for letters, base, message in cases:
-        with pytest.raises(GraphError) as info:
-            rebase(letters, amalgam, tree, base)
-        assert type(info.value) is GraphError and str(info.value) == message
-    # a tree that does not span the graph leaves vertices without a path
-    with pytest.raises(GraphError, match="^no tree path from a to b$"):
-        rebase([VertexPower("b", 1)], amalgam, frozenset(), "a")
+    for text, base, kind, message in cases:
+        with pytest.raises(kind) as info:
+            rebase(text, amalgam, base)
+        assert type(info.value) is kind and str(info.value) == message
+    with pytest.raises(GraphError, match="^no tree path from b to z$"):
+        tree_path(amalgam, "b", "z")
+    with pytest.raises(GraphError, match="^unknown vertex 'z'$"):
+        tree_path(amalgam, "z", "a")
+    disconnected = parse_graph(
+        "vertex a\nvertex b\nedge s a a 1 1 S\nedge S a a 1 1 s\n", check=False
+    )
+    with pytest.raises(GraphError, match="^graph is not connected$"):
+        rebase("s", disconnected, "a")
+    with pytest.raises(GraphError, match="^graph has no vertices$"):
+        spanning_tree(GbsGraph((), ()))
