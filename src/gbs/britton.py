@@ -314,7 +314,7 @@ def britton_reduce_fast(f: GFactorization) -> GFactorization:
             edges.append(by_name[name])
             exps.append(k)
     steps = tuple(zip([e.name for e in edges[1:]], exps[1:]))
-    return GFactorization(f.graph, f.base, exps[0], steps)
+    return GFactorization._trusted(f.graph, f.base, exps[0], steps)
 
 
 def word_problem(f: GFactorization) -> bool:
@@ -343,7 +343,7 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
         raise WordError("cyclic reduction needs a closed factorization")
     h = britton_reduce_fast(f)
     if not h.n:
-        return h, GFactorization(f.graph, h.base, 0, ())
+        return h, GFactorization._trusted(f.graph, h.base, 0, ())
     g = f.graph
     steps = h.steps
     lo, hi, c = 0, h.n - 1, h.k0  # the word is steps[lo..hi], c added to the last exponent
@@ -354,11 +354,12 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
             break
         c = e.alpha * (k // e.beta) + steps[lo][1]
         lo, hi = lo + 1, hi - 1
+    trusted = GFactorization._trusted  # pieces of h's path
     if lo > hi:
-        return GFactorization(g, e.src, c, ()), GFactorization(g, e.src, 0, steps[hi + 1 :])
+        return trusted(g, e.src, c, ()), trusted(g, e.src, 0, steps[hi + 1 :])
     base = g.source(steps[lo][0])
     middle = steps[lo:hi] + ((steps[hi][0], steps[hi][1] + c),)
-    return GFactorization(g, base, 0, middle), GFactorization(g, base, -c, steps[hi + 1 :])
+    return trusted(g, base, 0, middle), trusted(g, base, -c, steps[hi + 1 :])
 
 
 def cyclically_reduce(f: GFactorization) -> GFactorization:

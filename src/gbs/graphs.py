@@ -10,6 +10,7 @@ procedure in this package works on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 
@@ -60,8 +61,9 @@ _EMPTY_TOKEN = "1"
 
 class GbsGraph:
     """Immutable graph with edge involution and labels; indexes are built
-    eagerly, deeper well-formedness lives in :func:`validate`.  ``by_name``
-    maps each edge name to its :class:`Edge`; hot loops read it directly."""
+    eagerly, the spanning tree's search on first use, deeper
+    well-formedness lives in :func:`validate`.  ``by_name`` maps each edge
+    name to its :class:`Edge`; hot loops read it directly."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices = tuple(vertices)
@@ -82,6 +84,13 @@ class GbsGraph:
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
+
+    @cached_property
+    def _tree(self) -> dict[str, Optional[tuple[str, str]]]:
+        """:func:`_search` from the least vertex, run once per graph: the
+        one search behind :func:`validate`'s connectivity check and every
+        tree path.  Needs a vertex."""
+        return _search(self, min(self.vertices))
 
     def __repr__(self):
         return f"GbsGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -142,7 +151,41 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     vertices and edges.  Only the syntax is checked here; with ``check`` (the
     default) the parsed graph must also pass :func:`validate`, which covers
     endpoints, inverses, labels and connectivity.
+
+    A well-formed file is read in bulk: every line split at once, directives
+    and arities checked by counting the rows that match, ids by one set.
+    When a bulk check fails, and for the ``bs`` line, the file is read again
+    line by line, which reports the first bad line.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = [toks for toks in map(str.split, lines) if toks]
+    vertices = [toks[1] for toks in rows if len(toks) == 2 and toks[0] == "vertex"]
+    edge_rows = [toks for toks in rows if len(toks) == 7 and toks[0] == "edge"]
+    ids = {*vertices, *(toks[1] for toks in edge_rows)}
+    edges = None
+    if (
+        len(vertices) + len(edge_rows) == len(ids) == len(rows)
+        and _EMPTY_TOKEN not in ids
+        and "^" not in "".join(ids)
+    ):
+        try:
+            edges = [Edge(n, s, d, int(a), int(b), inv) for _, n, s, d, a, b, inv in edge_rows]
+        except ValueError:
+            pass
+    graph = _parse_lines(text) if edges is None else GbsGraph(vertices, edges)
+    if check:
+        report = validate(graph)
+        if report:
+            raise GraphError("; ".join(report))
+    return graph
+
+
+def _parse_lines(text: str) -> GbsGraph:
+    """:func:`parse_graph` one line at a time, without :func:`validate`:
+    the reader of the ``bs`` line, and of every file the bulk pass rejects,
+    whose first bad line it reports."""
     vertices: list[str] = []
     edges: list[Edge] = []
     rows: list[tuple[int, list[str]]] = []
@@ -162,42 +205,35 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
             p, q = int(toks[1]), int(toks[2])
         except ValueError:
             fail(lineno, "p and q must be integers")
-        graph = bs_graph(p, q)
-    else:
-        ids: set[str] = set()
-        for lineno, toks in rows:
-            kind = toks[0]
-            if kind == "vertex":
-                if len(toks) != 2:
-                    fail(lineno, "expected: vertex <id>")
-            elif kind == "edge":
-                if len(toks) != 7:
-                    fail(lineno, "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>")
-            elif kind == "bs":
-                fail(lineno, "bs must be the only line of the file")
-            else:
-                fail(lineno, f"unknown directive {kind!r}")
-            name = toks[1]  # split() leaves no whitespace, and the comment no "#"
-            if name == _EMPTY_TOKEN or "^" in name:
-                fail(lineno, f"bad id {name!r}")
-            if name in ids:
-                fail(lineno, f"duplicate id {name!r}")
-            ids.add(name)
-            if kind == "vertex":
-                vertices.append(name)
-                continue
-            try:
-                alpha, beta = int(toks[4]), int(toks[5])
-            except ValueError:
-                fail(lineno, "alpha and beta must be integers")
-            edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
-        graph = GbsGraph(vertices, edges)
-
-    if check:
-        report = validate(graph)
-        if report:
-            raise GraphError("; ".join(report))
-    return graph
+        return bs_graph(p, q)
+    ids: set[str] = set()
+    for lineno, toks in rows:
+        kind = toks[0]
+        if kind == "vertex":
+            if len(toks) != 2:
+                fail(lineno, "expected: vertex <id>")
+        elif kind == "edge":
+            if len(toks) != 7:
+                fail(lineno, "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>")
+        elif kind == "bs":
+            fail(lineno, "bs must be the only line of the file")
+        else:
+            fail(lineno, f"unknown directive {kind!r}")
+        name = toks[1]  # split() leaves no whitespace, and the comment no "#"
+        if name == _EMPTY_TOKEN or "^" in name:
+            fail(lineno, f"bad id {name!r}")
+        if name in ids:
+            fail(lineno, f"duplicate id {name!r}")
+        ids.add(name)
+        if kind == "vertex":
+            vertices.append(name)
+            continue
+        try:
+            alpha, beta = int(toks[4]), int(toks[5])
+        except ValueError:
+            fail(lineno, "alpha and beta must be integers")
+        edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
+    return GbsGraph(vertices, edges)
 
 
 def validate(graph: GbsGraph) -> list[str]:
@@ -205,7 +241,10 @@ def validate(graph: GbsGraph) -> list[str]:
 
     Checked: endpoints that are vertices, nonzero labels, the involution
     being fixed-point free and consistent with endpoints and labels, and
-    connectivity.
+    connectivity: every vertex is reached by the spanning tree's search
+    from the least vertex, which the graph keeps for its tree paths.  With
+    a valid involution every edge has a reverse, so any root reaches the
+    same vertices; with a broken one the verdict can hang on the root.
     """
     report: list[str] = []
     vertex_set, by_name = graph._vertex_set, graph.by_name
@@ -237,7 +276,7 @@ def validate(graph: GbsGraph) -> list[str]:
             report.append(f"edge {e.name}: inverse endpoints do not match")
         if inv.beta != e.alpha:
             report.append(f"edge {e.name}: alpha differs from beta of inverse")
-    if graph.vertices and not _search(graph, graph.vertices[0]).keys() >= vertex_set:
+    if graph.vertices and not graph._tree.keys() >= vertex_set:
         report.append("graph is not connected")
     return report
 
@@ -281,6 +320,14 @@ class GFactorization:
             if e.src != cur:
                 raise WordError(f"edge {name} does not continue the path at {cur}")
             cur = e.dst
+
+    @classmethod
+    def _trusted(cls, graph: GbsGraph, base: str, k0: int, steps: tuple) -> GFactorization:
+        """A factorization whose path is valid by construction, or checked
+        already: skips the walk in ``__post_init__``."""
+        f = object.__new__(cls)
+        f.__dict__.update(graph=graph, base=base, k0=k0, steps=steps)
+        return f
 
     @property
     def n(self) -> int:
@@ -357,19 +404,22 @@ def parse_factorization(text: str, graph: GbsGraph) -> GFactorization:
         if not graph.vertices:
             raise WordError("empty graph")
         base = graph.vertices[0]
-    return GFactorization(graph, base, k0, tuple(zip(names, exps)))
+    elif base not in vertices:  # the source of the first edge, in a graph not validated
+        raise WordError(f"unknown vertex {base!r}")
+    return GFactorization._trusted(graph, base, k0, tuple(zip(names, exps)))
 
 
 def invert(f: GFactorization) -> GFactorization:
     """The formal inverse ``vn^-kn Yn ... Y1 base^-k0``."""
     g = f.graph
     if not f.steps:
-        return GFactorization(g, f.base, -f.k0, ())
+        return GFactorization._trusted(g, f.base, -f.k0, ())
+    by_name = g.by_name
     exps = [f.k0] + [k for _, k in f.steps]
     steps = tuple(
-        (g.inverse(f.steps[i][0]), -exps[i]) for i in range(f.n - 1, -1, -1)
+        (by_name[f.steps[i][0]].inv, -exps[i]) for i in range(f.n - 1, -1, -1)
     )
-    return GFactorization(g, f.end, -f.steps[-1][1], steps)
+    return GFactorization._trusted(g, f.end, -f.steps[-1][1], steps)
 
 
 def concat(*parts: GFactorization) -> GFactorization:
@@ -388,7 +438,7 @@ def concat(*parts: GFactorization) -> GFactorization:
             k0 += p.k0
         steps += p.steps
         end = p.end
-    return GFactorization(first.graph, first.base, k0, tuple(steps))
+    return GFactorization._trusted(first.graph, first.base, k0, tuple(steps))
 
 
 def _tree_paths(
@@ -398,17 +448,19 @@ def _tree_paths(
     vertex (the root), and a function giving the edge names of path(start, v)
     in that tree, ``start`` defaulting to the root: path(root, start)
     inverted, then path(root, v), less their common prefix, which is the one
-    reduced path between the two in a tree.  The graph is taken as valid
-    (see :func:`validate`) apart from connectivity, which the search checks."""
+    reduced path between the two in a tree.  The search is the graph's own
+    (see :attr:`GbsGraph._tree`), shared with :func:`validate`, so it runs
+    once per graph.  The graph is taken as valid (see :func:`validate`)
+    apart from connectivity, which is checked here."""
     if start is not None and not graph.has_vertex(start):
         raise GraphError(f"unknown vertex {start!r}")
     if not graph.vertices:
         raise GraphError("graph has no vertices")
-    root = min(graph.vertices)
-    prev = _search(graph, root)
+    prev = graph._tree
     if any(v not in prev for v in graph.vertices):
         raise GraphError("graph is not connected")
-    start = root if start is None else start
+    if start is None:
+        start = min(graph.vertices)
 
     def from_root(v: str) -> list[str]:
         if v not in prev:
@@ -482,7 +534,7 @@ def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
         steps[-1] = (steps[-1][0], steps[-1][1] + f.k0)
         steps += f.steps
         steps += paths[dst][1]
-    return GFactorization(graph, base, steps[0][1], tuple(steps[1:]))
+    return GFactorization._trusted(graph, base, steps[0][1], tuple(steps[1:]))
 
 
 def orientation(graph: GbsGraph) -> tuple[str, ...]:

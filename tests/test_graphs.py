@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbs import britton, graphs
+from gbs import britton, conjugacy, graphs
 from gbs.cli import main
 from gbs.graphs import (
     Edge,
@@ -74,6 +74,17 @@ def test_validate_disconnected():
         ),
     )
     assert any("connected" in line for line in validate(g))
+
+
+def test_validate_searches_from_the_least_vertex():
+    # with a broken involution, reachability hangs on the root: b, listed
+    # first, has no out-edge, but the search runs from a, which reaches b
+    g = parse_graph("vertex b\nvertex a\nedge y a b 1 1 Y\nedge Y a b 1 1 y\n", check=False)
+    assert validate(g) == [
+        "edge y: inverse endpoints do not match",
+        "edge Y: inverse endpoints do not match",
+    ]
+    assert spanning_tree(g) == frozenset({"y", "Y"})
 
 
 def test_validate_zero_label():
@@ -184,7 +195,7 @@ def test_pi1_query_validates_the_graph_once(tmp_path, monkeypatch, capsys):
     assert main(["wp", "--pi1", "--literal", "--base", "b", str(p), "t b^3 T a^-2"]) == 0
     assert capsys.readouterr().out.strip() == "trivial"
     assert len(calls) == 1
-    assert searches == ["a", "a"]  # validate's search and the spanning tree's
+    assert searches == ["a"]  # validate's search is the spanning tree's
 
 
 def test_elliptic_conj_validates_the_graph_once(tmp_path, monkeypatch, capsys):
@@ -277,16 +288,18 @@ def test_rebase_always_closed_at_base(triangle):
         assert r.base == "b" and r.is_closed
 
 
-def test_rebase_and_tree_path_search_the_graph_once(triangle, monkeypatch):
-    # the spanning tree's own search gives every tree path, from any vertex
+def test_rebase_and_tree_path_search_the_graph_once(monkeypatch):
+    # the spanning tree's own search gives every tree path, from any vertex,
+    # and the graph keeps it: a fresh graph, not yet searched by validate
     calls = []
     real = graphs._search
     monkeypatch.setattr(graphs, "_search", lambda g, root: calls.append(root) or real(g, root))
-    assert min(triangle.vertices) == "a"
+    triangle = parse_graph(TRIANGLE, check=False)
+    assert min(triangle.vertices) == "a" and calls == []
     f = rebase("bc c^2 cb b ca", triangle, "c")
     assert f == fact(triangle, "ca ab bc c^2 cb ba ac ca ab b ba ac ca ac")
     assert calls == ["a"]
-    assert tree_path(triangle, "c", "b") == ("ca", "ab") and calls == ["a", "a"]
+    assert tree_path(triangle, "c", "b") == ("ca", "ab") and calls == ["a"]
 
 
 def test_factorization_rejects_broken_paths(amalgam):
@@ -294,6 +307,31 @@ def test_factorization_rejects_broken_paths(amalgam):
         GFactorization(amalgam, "a", 0, (("T", 0),))
     with pytest.raises(WordError):
         GFactorization(amalgam, "a", 0, (("t", 0), ("t", 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_factorizations_built_without_the_walk_trace_their_paths(seed):
+    # each function builds its result with GFactorization._trusted, which
+    # skips the path walk of the public constructor; the walk must pass
+    rng = random.Random(seed)
+    g = gen.random_graph(rng, 4, 6)
+    v = gen.random_closed_factorization(rng, g, max_len=8, max_exp=6)
+    z = gen.random_conjugator(rng, g, v.base)
+    w = concat(z, v, invert(z))
+    results = [
+        parse_factorization(str(w), g),
+        britton.britton_reduce_fast(w),
+        *britton.cyclically_reduce_with_conjugator(v),
+        invert(w),
+        w,
+        rebase(str(w), g, rng.choice(g.vertices)),
+    ]
+    res = conjugacy.conjugate(v, w, bound=20)
+    if res.witness is not None:
+        results.append(res.witness)
+    for f in results:
+        assert GFactorization(f.graph, f.base, f.k0, f.steps) == f
 
 
 def test_validate_reports_unknown_endpoints():
@@ -304,6 +342,8 @@ def test_validate_reports_unknown_endpoints():
     report = validate(g)
     assert "edge t: unknown target vertex 'z'" in report
     assert "edge T: unknown source vertex 'x'" in report
+    with pytest.raises(WordError, match="^unknown vertex 'x'$"):  # the word starts off the graph
+        parse_factorization("T", g)
     with pytest.raises(GraphError, match="unknown target vertex"):
         parse_graph("vertex a\nvertex b\nedge t a z 2 3 T\nedge T z a 3 2 t\n")
 
@@ -544,6 +584,72 @@ def test_graph_text_round_trip_and_graph_equality():
     relabelled = Edge(e.name, e.src, e.dst, e.alpha + 1, e.beta, e.inv)
     assert g != GbsGraph(g.vertices, (relabelled,) + g.edges[1:])
     assert g != GbsGraph(g.vertices[::-1], g.edges) and g != g.vertices
+
+
+TREE_TEXT = _tree_graph_text(random.Random(5), 750)
+# labels, and tokens to put in their place: int() takes "1_0", "+2" and "٣"
+LABELS = ["0", "-0", "+2", "1_0", "٣", "x", "1.5", "2e3", "0x1", "-"]
+# whitespace to str.split, and line breaks to str.splitlines
+BREAKS = ["\x0b", "\x1c", "\u2028", "\x85", "\r"]
+EDITS = ["copy", "rename", "bad id", "arity", "label", "bs", "comment", "directive", "break"]
+
+
+def _mutate(lines, data, kind):
+    """One edit of the given kind to a token line of a graph file."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    toks = lines[i].split()
+    if kind == "copy":  # a duplicate id, or a duplicate line
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        return
+    # an earlier edit may have left a line of one token
+    if kind == "rename":  # onto another line's id
+        toks[1:2] = lines[data.draw(st.integers(0, len(lines) - 1))].split()[1:2]
+    elif kind == "bad id":
+        toks[1:2] = [data.draw(st.sampled_from(["1", "a^b"]))]
+    elif kind == "arity":
+        if len(toks) > 1 and data.draw(st.booleans()):
+            del toks[data.draw(st.integers(1, len(toks) - 1))]
+        else:
+            toks.insert(data.draw(st.integers(1, len(toks))), "z")
+    elif kind == "label" and len(toks) == 7:
+        toks[data.draw(st.sampled_from([4, 5]))] = data.draw(st.sampled_from(LABELS))
+    elif kind == "bs":
+        lines.insert(i, data.draw(st.sampled_from(["bs 2 3", "bs 2", "bs x 3"])))
+        return
+    elif kind == "comment":
+        toks.insert(data.draw(st.integers(0, len(toks))), data.draw(st.sampled_from(["#", "# x", "#vertex"])))
+    elif kind == "directive":
+        toks[0] = data.draw(st.sampled_from(["vortex", "VERTEX", "edges", "bs"]))
+    # a break splits the line in two; any other edit may join tokens with one
+    joiners = BREAKS if kind == "break" else [" ", "\t", "  "] + BREAKS
+    lines[i] = data.draw(st.sampled_from(joiners)).join(toks)
+
+
+@pytest.mark.parametrize("kind", EDITS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_parse_graph_agrees_with_the_line_reader(kind, data):
+    # a well-formed file is read in bulk; any other goes to the line reader,
+    # so every input gives the line reader's graph or its exact error
+    if data.draw(st.integers(0, 4)):
+        text = gen.random_graph(random.Random(data.draw(st.integers(0, 10**6))), 5, 8).to_text()
+    else:
+        text = TREE_TEXT
+    if not data.draw(st.integers(0, 9)):
+        text = "bs 2 3\n"
+    lines = text.splitlines()
+    if data.draw(st.integers(0, 9)):  # else the file as it was written
+        _mutate(lines, data, kind)
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):  # mostly no edit to hide the first
+        _mutate(lines, data, data.draw(st.sampled_from(EDITS)))
+    text = data.draw(st.sampled_from(["\n", "\r\n"] + BREAKS)).join(lines) + "\n"
+    for check in (True, False):
+        def line_reader():
+            graph = graphs._parse_lines(text)
+            if check and validate(graph):
+                raise GraphError("; ".join(validate(graph)))
+            return graph
+        assert _outcome(lambda: parse_graph(text, check=check)) == _outcome(line_reader)
 
 
 def test_rebase_errors(amalgam):
