@@ -5,12 +5,20 @@ usage error, for a failed internal self-check and for any other exception,
 reported as one ``internal error: ...`` line (never as a "no").  Exponents may
 have any number of digits.
 Diagnostics go to stderr; reports are deterministic on stdout.
+
+How a call runs: the words that name a command pick that command's own
+parser, which reads the rest of the arguments; the top-level parser only
+answers ``--help`` and a missing or unknown command.  Each input file is read
+in one raw read and decoded as UTF-8.  Its line ends stay as they are: graph
+and presentation files are split with ``str.splitlines`` and words at any
+whitespace, which take CR LF and a lone CR as one line end, as they take LF.
+The cyclic garbage collector is paused while a graph file loads.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import britton, conjugacy, graphs, monoid
@@ -39,7 +47,8 @@ def _bound(text: str) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            return file.read().decode("utf-8")
     except OSError as exc:
         raise graphs.GbsError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -47,7 +56,15 @@ def _read(path: str) -> str:
 
 
 def _load_graph(path: str) -> graphs.GbsGraph:
-    return graphs.parse_graph(_read(path))
+    # parse_graph allocates a few containers per line and frees none of
+    # them, so the collector's passes over them during the load are waste
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return graphs.parse_graph(_read(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _word_text(arg: str, literal: bool) -> str:
@@ -138,9 +155,19 @@ def _cmd_convert(args) -> int:
     return EXIT_YES
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gbs", description=__doc__)
+def _build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
+    """The top-level parser, and each leaf command's parser keyed by the
+    words that name it."""
+    # the help shows the paragraphs for users, not how a call runs (and
+    # nothing under python -OO, which drops docstrings)
+    description = __doc__ and __doc__.partition("\n\nHow a call runs:")[0]
+    parser = _Parser(prog="gbs", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves: dict[tuple[str, ...], _Parser] = {}
+
+    def leaf(subparsers, *words: str, **kwargs) -> _Parser:
+        leaves[words] = subparsers.add_parser(words[-1], **kwargs)
+        return leaves[words]
 
     word_opts = argparse.ArgumentParser(add_help=False)
     word_opts.add_argument(
@@ -155,28 +182,28 @@ def _build_parser() -> _Parser:
     )
     pi1_opts.add_argument("--base", default=None, help="base vertex for --pi1")
 
-    p = sub.add_parser("validate", help="check a graph file")
+    p = leaf(sub, "validate", help="check a graph file")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("wp", parents=[word_opts, pi1_opts], help="word problem")
+    p = leaf(sub, "wp", parents=[word_opts, pi1_opts], help="word problem")
     p.add_argument("graph")
     p.add_argument("word")
     p.set_defaults(func=_cmd_wp)
 
-    p = sub.add_parser("reduce", parents=[word_opts, pi1_opts], help="Britton-reduce")
+    p = leaf(sub, "reduce", parents=[word_opts, pi1_opts], help="Britton-reduce")
     p.add_argument("graph")
     p.add_argument("word")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser(
-        "cyc-reduce", parents=[word_opts, pi1_opts], help="cyclically Britton-reduce"
+    p = leaf(
+        sub, "cyc-reduce", parents=[word_opts, pi1_opts], help="cyclically Britton-reduce"
     )
     p.add_argument("graph")
     p.add_argument("word")
     p.set_defaults(func=_cmd_cyc_reduce)
 
-    p = sub.add_parser("conj", parents=[word_opts], help="conjugacy")
+    p = leaf(sub, "conj", parents=[word_opts], help="conjugacy")
     p.add_argument("graph")
     p.add_argument("v")
     p.add_argument("w")
@@ -186,7 +213,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("monoid", help="commutative monoid congruence")
     msub = p.add_subparsers(dest="subcommand", required=True)
-    m = msub.add_parser("congruent")
+    m = leaf(msub, "monoid", "congruent")
     m.add_argument("presentation")
     m.add_argument("e")
     m.add_argument("f")
@@ -195,23 +222,36 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("convert", help="instance converters")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    c = csub.add_parser("monoid-to-gbs")
+    c = leaf(csub, "convert", "monoid-to-gbs")
     c.add_argument("presentation")
     c.add_argument("e")
     c.add_argument("f")
     c.set_defaults(func=_cmd_convert)
 
-    return parser
+    return parser, leaves
 
 
-_PARSER = _build_parser()  # stateless: errors raise, parse_args returns a new namespace
+# stateless: errors raise, parse_args returns a new namespace
+_PARSER, _LEAVES = _build_parser()
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)`` without the parsers above the leaf: the
+    command words, which the top-level parser hands on unread, select the
+    leaf's parser, which reads the rest.  Anything else, such as ``--help``
+    or a missing or unknown command, goes to ``_PARSER``."""
+    for n in (1, 2):
+        leaf = _LEAVES.get(tuple(argv[:n]))
+        if leaf is not None:
+            return leaf.parse_args(argv[n:])
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)  # exponents of any length, read and printed
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,6 +1,12 @@
+import argparse
+import contextlib
+import gc
+import io
+import sys
+
 import pytest
 
-from gbs import graphs
+from gbs import cli, graphs
 from gbs.cli import main
 from conftest import AMALGAM, BS23, EXAMPLE_WORD
 from oracles import replays_to_identity
@@ -329,3 +335,209 @@ def test_malformed_input_exits_3_without_traceback(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 3
     assert out == "" and "Traceback" not in err
+
+
+# -- dispatch: each command's own parser reads the words after the command --
+
+def _leaf_parsers(parser, words=()):
+    """Every leaf command's parser under ``parser``, keyed by its command
+    words, found by walking the subcommand choices."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: parser}
+    return {
+        key: leaf
+        for action in subs
+        for name, child in action.choices.items()
+        for key, leaf in _leaf_parsers(child, words + (name,)).items()
+    }
+
+
+def test_dispatch_table_holds_every_leaf_command():
+    leaves = _leaf_parsers(cli._PARSER)
+    assert set(leaves) == {
+        ("validate",), ("wp",), ("reduce",), ("cyc-reduce",), ("conj",),
+        ("monoid", "congruent"), ("convert", "monoid-to-gbs"),
+    }
+    assert leaves.keys() == cli._LEAVES.keys()
+    assert all(cli._LEAVES[key] is leaf for key, leaf in leaves.items())
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the namespace without the command words,
+    or the usage error, or the exit code and what was printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            ns = vars(parse(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    ns.pop("command", None)
+    ns.pop("subcommand", None)
+    return ns
+
+
+DISPATCH_CORPUS = [
+    ["validate", "g"],
+    ["wp", "g", "w"],
+    ["wp", "--lit", "g", "w"],
+    ["wp", "--literal", "--pi1", "--base", "b", "g", "w"],
+    ["wp", "--pi", "--ba=b", "g", "w"],
+    ["wp", "--b", "g", "w"],
+    ["reduce", "--literal", "g", "w"],
+    ["cyc-reduce", "g", "w", "--pi1"],
+    ["conj", "g", "v", "w", "--bound=3"],
+    ["conj", "--wit", "--lit", "g", "v", "w", "--bound", "0"],
+    ["conj", "g", "v", "w", "--bound", "-1"],
+    ["conj", "g", "v", "w", "--bound", "x"],
+    ["conj", "g", "v", "w", "--bound"],
+    ["conj", "g", "-1", "-2"],
+    ["wp", "--", "g", "w"],
+    ["wp", "--literal", "--", "-g", "--pi1"],
+    ["wp", "g", "--", "--literal"],
+    ["conj", "--", "g", "v", "w", "--bound", "1"],
+    ["wp", "--literal=yes", "g", "w"],
+    ["wp", "--nope", "g", "w"],
+    ["wp"],
+    ["wp", "g"],
+    ["wp", "g", "w", "x"],
+    ["validate", "g", "h"],
+    ["monoid", "congruent", "p", "1,0", "0,1", "--bound=2"],
+    ["monoid", "congruent", "p", "1,0"],
+    ["monoid", "congruent"],
+    ["monoid"],
+    ["monoid", "nope"],
+    ["monoid", "--bound", "1", "congruent", "p", "e", "f"],
+    ["convert"],
+    ["convert", "monoid-to-gbs", "p", "e", "f"],
+    ["convert", "monoid-to-gbs", "p", "e", "f", "x"],
+    [],
+    ["bench", "--count", "1"],
+    ["WP", "g", "w"],
+    ["--lit", "wp", "g", "w"],
+    ["--help"],
+    ["-h"],
+    ["wp", "--help"],
+    ["wp", "g", "-h"],
+    ["monoid", "--help"],
+    ["monoid", "congruent", "--help"],
+    ["convert", "monoid-to-gbs", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser_does(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(cli._PARSER.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, prog", [(["--help"], "gbs"), (["wp", "--help"], "gbs wp")])
+def test_help_exits_0_with_the_parsers_text(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: {prog} ")
+    assert ("Exit codes: 0 for yes" in out) == (prog == "gbs") and "How a call runs" not in out
+    assert _parsed(cli._PARSER.parse_args, argv) == ("exit", 0, out)
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, bs_path):
+    for argv in (["wp", "--literal", bs_path, "y a^2 Y a^-3"], ["monoid"], []):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["gbs", *argv])
+        code = main(None)
+        assert (code, *capsys.readouterr()) == expected
+    assert expected[0] == 3 and "usage error" in expected[2]
+
+
+# -- input files: one raw read, decoded as UTF-8 --
+
+LINE_END_CASES = [
+    # (files, argv): each file is written with each line end in turn
+    ({"g": AMALGAM + "\n# a comment\nvertex b\n"}, ["validate", "{g}"]),
+    ({"g": "vertex a\n\nvertex b\nedge t a b 2\n"}, ["validate", "{g}"]),
+    ({"g": FOUR_VERTICES}, ["validate", "{g}"]),
+    ({"g": AMALGAM, "w": "t b^3\nT\na^-2\n"}, ["wp", "{g}", "{w}"]),
+    ({"g": AMALGAM, "w": "t\nb^3 T\n"}, ["wp", "--pi1", "{g}", "{w}"]),
+    ({"g": BS23 + "\n", "w": EXAMPLE_WORD.replace(" Y ", "\nY\n") + "\n"}, ["reduce", "{g}", "{w}"]),
+    ({"g": BS23 + "\n", "w": "y\na\nY\n"}, ["cyc-reduce", "{g}", "{w}"]),
+    ({"g": FOUR_VERTICES, "v": "d^-1 Y2\na^-4 y2 d^3\n", "w": "d^-1\nY2 a^-4 y2 d^3"},
+     ["conj", "--witness", "{g}", "{v}", "{w}"]),
+    ({"g": BS23 + "\n", "v": "a^2\n", "w": "a\nq\n"}, ["conj", "{g}", "{v}", "{w}"]),
+    ({"p": "# x ~ y\ndim 2\n\nrel 1,0 ~ 0,1 # comment\n"}, ["monoid", "congruent", "{p}", "1,1", "0,2"]),
+    ({"p": "dim 2\nrel 1,0 ~ 0,1\nrel 1 ~ 0\n"}, ["monoid", "congruent", "{p}", "1,1", "0,2"]),
+    ({"p": "dim 2\nrel 2,0 ~ 0,1\n"}, ["convert", "monoid-to-gbs", "{p}", "2,0", "0,1"]),
+]
+
+
+@pytest.mark.parametrize("files, argv", LINE_END_CASES, ids=lambda c: " ".join(c) if isinstance(c, list) else None)
+# in the mixed case a lone \r is never followed by \n, which would make one \r\n
+@pytest.mark.parametrize("ends", [("\r\n",), ("\r",), ("\n", "\r", "\r\n")], ids=["crlf", "cr", "mixed"])
+def test_line_ends_do_not_change_any_answer(capsys, tmp_path, files, argv, ends):
+    answers = []
+    for name, line_ends in (("lf", ("\n",)), ("other", ends)):
+        paths = {}
+        for key, text in files.items():
+            *lines, last = text.split("\n")
+            text = "".join(line + line_ends[i % len(line_ends)] for i, line in enumerate(lines))
+            paths[key] = tmp_path / f"{name}-{key}"
+            paths[key].write_bytes((text + last).encode())
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        answers.append((code, out, err.replace(f"{name}-", "")))
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    (b"bs 2 3\n\xff\n", ["wp", "{f}", "a"], "not UTF-8 (invalid start byte)"),
+    (b"bs 2 3\n" + b"#" * 20000 + b"\n\xff", ["wp", "{f}", "a"], "not UTF-8 (invalid start byte)"),
+    (b"bs 2 3\n\xc3", ["validate", "{f}"], "not UTF-8 (unexpected end of data)"),
+    (b"bs 2 3\n\xc3\x28\n", ["wp", "{f}", "a"], "not UTF-8 (invalid continuation byte)"),
+    (b"bs 2 3\n\xed\xa0\x80\n", ["wp", "{f}", "a"], "not UTF-8 (invalid continuation byte)"),
+    (b"dim 2\n\xff", ["monoid", "congruent", "{f}", "1,0", "0,1"], "not UTF-8 (invalid start byte)"),
+    (b"a \xfe", ["reduce", "{g}", "{f}"], "not UTF-8 (invalid start byte)"),
+    (b"\xef\xbb\xbfbs 2 3\n", ["wp", "{f}", "a"], "line 1: unknown directive '\\ufeffbs'"),
+    (b"\xef\xbb\xbfdim 2\n", ["convert", "monoid-to-gbs", "{f}", "1,0", "0,1"],
+     "line 1: unknown directive '\\ufeffdim'"),
+    (b"\xef\xbb\xbfa^2 y\n", ["reduce", "{g}", "{f}"], "unknown vertex '\\ufeffa'"),
+], ids=[
+    "invalid-start", "invalid-after-a-long-prefix", "truncated", "bad-continuation", "surrogate",
+    "presentation", "word", "bom-graph", "bom-presentation", "bom-word",
+])
+def test_undecodable_files_and_byte_order_marks_keep_their_messages(capsys, tmp_path, data, argv, message):
+    paths = {"f": tmp_path / "f", "g": tmp_path / "g"}
+    paths["f"].write_bytes(data)
+    paths["g"].write_text(BS23 + "\n")
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    prefix = "" if message.startswith(("line", "unknown")) else f"cannot read {paths['f']}: "
+    assert (code, out, err) == (3, "", f"error: {prefix}{message}\n")
+
+
+@pytest.mark.parametrize("path, reason", [
+    ("{tmp}/missing", "No such file or directory"),
+    ("{tmp}", "Is a directory"),
+    ("{tmp}/file/x", "Not a directory"),
+    ("", "No such file or directory"),  # no file has the empty name
+])
+def test_unreadable_paths_are_reported(capsys, tmp_path, path, reason):
+    (tmp_path / "file").write_text(BS23 + "\n")
+    path = path.format(tmp=tmp_path)
+    code, out, err = run(capsys, "wp", "--literal", path, "a")
+    assert (code, out, err) == (3, "", f"error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("graph, code", [
+    (BS23, 0), ("vertex a\nedge t a z 2 3 T\n", 3), (None, 3),
+], ids=["good", "invalid", "missing"])
+def test_graph_loading_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled, graph, code):
+    p = tmp_path / "g.graph"
+    if graph is not None:
+        p.write_text(graph)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "wp", "--literal", str(p), "1")[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
