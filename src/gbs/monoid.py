@@ -85,12 +85,12 @@ def _reverse(steps: Sequence[PathStep]) -> list[PathStep]:
     return [(j, -d) for j, d in reversed(steps)]
 
 
-def _normal_form(v: ExpVec, rules: list) -> tuple[ExpVec, list[PathStep]]:
-    """Rewrite v by the first rule ``(lhs, rhs - lhs, equation)`` that fits
+def _normal_form(v: ExpVec, rules: dict) -> tuple[ExpVec, list[PathStep]]:
+    """Rewrite v by the first rule ``lhs: (rhs - lhs, equation)`` that fits
     until none does; the normal form and the steps taken."""
     steps = []
     while True:
-        for lhs, delta, i in rules:
+        for lhs, (delta, i) in rules.items():
             if all(map(ge, v, lhs)):
                 v = tuple(map(add, v, delta))
                 steps.append((i, 1))
@@ -106,51 +106,50 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     ``eqs`` holds equations ``(u, v, path)``: path leads from u to v in
     steps ``(j, d)`` that apply equation j forwards (d = 1) or backwards
     (d = -1) and name only earlier equations.  The first equations are the
-    relations themselves, with path None.  ``active`` holds the equations
-    in use as rules ``u -> v`` (u above v in the graded order); the others
-    stay only as derivations.  Each new rule removes the rules whose left
-    side it divides (their equations are resolved again) and rewrites the
-    right sides it divides.  Critical pairs are resolved in the order of
-    their lcm, and skipped when the two left sides share no coordinate
-    (Buchberger's first criterion), when the lcm holds more units than e
-    (moves keep the unit count, so no vector congruent to e meets such a
-    pair), or when a coordinate of the lcm exceeds ``bound``.  After each
-    new rule, e and f are rewritten further.
+    relations themselves, with path None.  ``rules`` is the rewriting
+    system, an ordered table ``u: (v - u, j)`` keyed by left side, with u
+    above v in the graded order and equation j proving u = v; the other
+    equations stay only as derivations.  A new rule goes at the end; the
+    rules whose left side it divides are deleted (their equations are
+    resolved again), and the right sides it divides are rewritten in place.
+    Rewriting applies the first rule in table order that fits.  A critical
+    pair names its two left sides and is resolved, in the order of its lcm,
+    with the right sides the table holds then.  It is skipped when the two
+    left sides share no coordinate (Buchberger's first criterion), when the
+    lcm holds more units than e (moves keep the unit count, so no vector
+    congruent to e meets such a pair), or when a coordinate of the lcm
+    exceeds ``bound``.  After each new rule, e and f are rewritten further.
 
     Returns ``(eqs, steps, capped)``: steps over ``eqs`` lead from e to f,
     or are None when the normal forms stay apart; ``capped`` says whether a
-    pair of two surviving rules was skipped for the bound.
+    pair skipped for the bound has both its left sides still in the table.
     """
     units = pres.units
     degree = sum(e[-units:]) if units else 0
     eqs: list = [(r, s, None) for r, s in pres.relations]
     todo = [(r, s, ((j, 1),)) for j, (r, s) in enumerate(pres.relations)][::-1]
-    active: list = []  # rules as (u, v - u, equation)
-    successor: dict[int, int] = {}  # a rule whose right side was rewritten -> its new rule
-    pairs: list = []  # heap of (graded key of the lcm, rule, rule)
-    capped: list[tuple[int, int]] = []
+    rules: dict = {}  # lhs -> (rhs - lhs, equation)
+    # A pair is live while both its left sides are keys; a rewritten right
+    # side keeps its key.  A deleted left side stays divisible by some
+    # rule's left side (a rule is only deleted for one that divides it),
+    # and a new left side is in normal form, so a deleted key never returns.
+    pairs: list = []  # heap of (graded key of the lcm, equation, equation, lhs, lhs)
+    capped: list[tuple[ExpVec, ExpVec]] = []
     ends = [(e, []), (f, [])]  # e and f as far as they are rewritten, with the steps taken
-
-    def live(i: int) -> Optional[int]:
-        while i in successor:
-            i = successor[i]
-        return i if any(rule[2] == i for rule in active) else None
 
     while todo or pairs:
         if todo:
             u, v, path = todo.pop()
         else:
-            _, i, j = heapq.heappop(pairs)
-            i, j = live(i), live(j)
-            if i is None or j is None:
+            _, _, _, a, b = heapq.heappop(pairs)
+            if a not in rules or b not in rules:
                 continue
-            (li, ri, _), (lj, rj, _) = eqs[i], eqs[j]
-            lcm = tuple(map(max, li, lj))
-            u = tuple(map(add, lcm, map(sub, ri, li)))
-            v = tuple(map(add, lcm, map(sub, rj, lj)))
+            (da, i), (db, j) = rules[a], rules[b]
+            lcm = tuple(map(max, a, b))
+            u, v = tuple(map(add, lcm, da)), tuple(map(add, lcm, db))
             path = ((i, -1), (j, 1))
-        u, pu = _normal_form(u, active)
-        v, pv = _normal_form(v, active)
+        u, pu = _normal_form(u, rules)
+        v, pv = _normal_form(v, rules)
         if u == v:
             continue
         path = _reverse(pu) + list(path) + pv
@@ -158,38 +157,33 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
             u, v, path = v, u, _reverse(path)
         new = len(eqs)
         eqs.append((u, v, tuple(path)))
-        kept = []
-        for rule in active:
-            lhs, _, k = rule
-            if all(map(ge, lhs, u)):
-                todo.append((lhs, eqs[k][1], ((k, 1),)))
-            else:
-                kept.append(rule)
-        active[:] = kept + [(u, tuple(map(sub, v, u)), new)]
-        for pos, (lhs, _, k) in enumerate(kept):
+        for lhs in [lhs for lhs in rules if all(map(ge, lhs, u))]:
+            k = rules.pop(lhs)[1]
+            todo.append((lhs, eqs[k][1], ((k, 1),)))
+        rules[u] = (tuple(map(sub, v, u)), new)
+        for lhs, (_, k) in rules.items():
             rhs = eqs[k][1]
-            if all(map(ge, rhs, u)):
-                rhs, steps = _normal_form(rhs, active)
-                successor[k] = len(eqs)
-                active[pos] = (lhs, tuple(map(sub, rhs, lhs)), len(eqs))
+            if all(map(ge, rhs, u)):  # never the new rule: v lies below u
+                rhs, steps = _normal_form(rhs, rules)
+                rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
                 eqs.append((lhs, rhs, ((k, 1), *steps)))
-        for lhs, _, k in active[:-1]:
-            if not any(x and y for x, y in zip(lhs, u)):
+        for lhs, (_, k) in rules.items():
+            if k == new or not any(x and y for x, y in zip(lhs, u)):  # k == new: u itself
                 continue
             lcm = tuple(map(max, lhs, u))
             if units and sum(lcm[-units:]) > degree:
                 continue
             if bound is not None and max(lcm) > bound:
-                capped.append((k, new))
+                capped.append((lhs, u))
                 continue
-            heapq.heappush(pairs, (_key(lcm), k, new))
+            heapq.heappush(pairs, (_key(lcm), k, new, lhs, u))
         for end, (w, steps) in enumerate(ends):
             if all(map(ge, w, u)):  # only the new rule can apply to an end
-                w, more = _normal_form(w, active)
+                w, more = _normal_form(w, rules)
                 ends[end] = (w, steps + more)
         if ends[0][0] == ends[1][0]:
             return eqs, ends[0][1] + _reverse(ends[1][1]), False
-    stopped = any(live(i) is not None and live(j) is not None for i, j in capped)
+    stopped = any(a in rules and b in rules for a, b in capped)
     return eqs, None, stopped
 
 
@@ -253,9 +247,10 @@ def congruent(
     rewritten to their normal forms.  Equal normal forms give CONGRUENT
     with a relation path from e to f, replayed before it is returned;
     distinct ones give NOT_CONGRUENT.  ``bound`` caps the coordinates of
-    the critical pairs the completion resolves: when it skipped a pair that
-    mattered and the normal forms differ, the verdict is UNKNOWN.  Without
-    a bound the completion always ends, by Dickson's lemma.
+    the critical pairs the completion resolves: when the normal forms differ
+    and it skipped a pair whose two left sides are both still rules at the
+    end, the verdict is UNKNOWN.  Without a bound the completion always
+    ends, by Dickson's lemma.
     """
     e, f = tuple(e), tuple(f)
     if len(e) != pres.dim or len(f) != pres.dim:
@@ -324,10 +319,6 @@ def parse_vector(text: str, dim: Optional[int] = None) -> ExpVec:
     if dim is not None and len(vec) != dim:
         raise GbsError(f"vector {text!r} should have {dim} entries")
     return vec
-
-
-def format_vector(vec: ExpVec) -> str:
-    return ",".join(str(x) for x in vec)
 
 
 def _split(k: int, basis: tuple[int, ...], vertices: tuple[str, ...], vertex: str):

@@ -9,7 +9,6 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
-    format_vector,
     gbs_to_monoid,
     monoid_to_gbs,
     parse_presentation,
@@ -90,6 +89,48 @@ def test_unknown_honest_third_verdict():
         res = congruent((0, 1), (1, 0), CAPPED, bound=bound)
         assert res.verdict is Verdict.CONGRUENT
         assert replay_path((0, 1), res.path, CAPPED) == (1, 0)
+
+
+def test_bounded_verdicts_agree_with_the_unbounded_one():
+    # a bound may leave a query open, but a verdict it gives is the true one
+    rng = random.Random(1606)
+    decided = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 3)
+        vec = lambda top: tuple(rng.randint(0, top) for _ in range(dim))  # noqa: E731
+        pres = MonPresentation(dim, tuple((vec(3), vec(3)) for _ in range(rng.randint(1, 4))))
+        e, f = vec(4), vec(4)
+        truth = congruent(e, f, pres).verdict
+        assert truth is not Verdict.UNKNOWN
+        for bound in range(7):
+            verdict = congruent(e, f, pres, bound).verdict
+            if verdict is not Verdict.UNKNOWN:
+                assert verdict is truth, (pres, e, f, bound)
+                decided += 1
+    assert decided > 8000
+
+
+def test_capped_pairs_of_deleted_rules_leave_nothing_open():
+    # the pair of the first two rules is capped at bound 1, but the third
+    # rule divides both their left sides and deletes them: nothing is open
+    pres = MonPresentation(2, (((1, 2), (0, 2)), ((2, 1), (1, 1)), ((1, 0), (0, 0))))
+    res = congruent((2, 2), (0, 1), pres, bound=1)
+    assert res.verdict is Verdict.NOT_CONGRUENT
+
+
+def test_right_sides_are_rewritten_by_new_rules():
+    # a rule whose right side a new rule divides is rewritten in place; the
+    # stale right side would leave the first query open and take the second
+    # a different way
+    pres = MonPresentation(3, (
+        ((1, 1, 1), (0, 3, 3)), ((2, 1, 1), (2, 0, 2)),
+        ((0, 3, 2), (3, 0, 0)), ((1, 3, 0), (1, 0, 0)),
+    ))
+    res = congruent((4, 4, 2), (2, 3, 1), pres, bound=3)
+    assert res.verdict is Verdict.CONGRUENT
+    pres = MonPresentation(2, (((1, 2), (0, 3)), ((2, 2), (0, 3)), ((0, 0), (0, 3)), ((3, 0), (0, 2))))
+    res = congruent((3, 0), (1, 0), pres)
+    assert res.path == ((2, 1), (1, 1), (0, -1), (0, -1), (1, 1), (2, -1))
 
 
 def test_parity_is_not_congruent():
@@ -198,7 +239,6 @@ def test_presentation_parsing_round_trip():
     assert pres.dim == 3
     assert pres.relations[1] == ((0, 2, 0), (1, 0, 1))
     assert parse_vector("1,2,3") == (1, 2, 3)
-    assert format_vector((1, 2, 3)) == "1,2,3"
     with pytest.raises(GbsError):
         parse_presentation("rel 1 ~ 2\n")
     with pytest.raises(GbsError):
