@@ -12,7 +12,7 @@ answers ``--help`` and a missing or unknown command.  Each input file is read
 in one raw read and decoded as UTF-8.  Its line ends stay as they are: graph
 and presentation files are split with ``str.splitlines`` and words at any
 whitespace, which take CR LF and a lone CR as one line end, as they take LF.
-The cyclic garbage collector is paused while a graph file loads.
+The cyclic garbage collector is paused while a command runs.
 """
 from __future__ import annotations
 
@@ -55,18 +55,6 @@ def _read(path: str) -> str:
         raise graphs.GbsError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
-def _load_graph(path: str) -> graphs.GbsGraph:
-    # parse_graph allocates a few containers per line and frees none of
-    # them, so the collector's passes over them during the load are waste
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return graphs.parse_graph(_read(path))
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _word_text(arg: str, literal: bool) -> str:
     return arg if literal else _read(arg)
 
@@ -90,7 +78,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_wp(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graphs.parse_graph(_read(args.graph))
     f = _factorization(args.word, graph, args)
     if not f.is_closed:
         raise graphs.WordError("word is not a closed factorization")
@@ -102,21 +90,21 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graphs.parse_graph(_read(args.graph))
     f = _factorization(args.word, graph, args)
     print(britton.britton_reduce_fast(f))
     return EXIT_YES
 
 
 def _cmd_cyc_reduce(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graphs.parse_graph(_read(args.graph))
     f = _factorization(args.word, graph, args)
     print(britton.cyclically_reduce(f))
     return EXIT_YES
 
 
 def _cmd_conj(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graphs.parse_graph(_read(args.graph))
     v = graphs.parse_factorization(_word_text(args.v, args.literal), graph)
     w = graphs.parse_factorization(_word_text(args.w, args.literal), graph)
     res = conjugacy.conjugate(v, w, bound=args.bound)
@@ -252,7 +240,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)  # exponents of any length, read and printed
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        # a command makes no reference cycles, so reference counting frees
+        # all it drops, and a collection would only walk the graph it keeps
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return args.func(args)
+        finally:
+            if enabled:
+                gc.enable()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -152,10 +152,10 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     default) the parsed graph must also pass :func:`validate`, which covers
     endpoints, inverses, labels and connectivity.
 
-    A well-formed file is read in bulk: every line split at once, directives
-    and arities checked by counting the rows that match, ids by one set.
-    When a bulk check fails, and for the ``bs`` line, the file is read again
-    line by line, which reports the first bad line.
+    Every file is read in one bulk pass: every line split at once,
+    directives and arities checked by counting the rows that match, ids by
+    one set, labels by ``int``.  A file that fails a check builds nothing:
+    :func:`_first_bad_line` scans its lines for the error to report.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -164,17 +164,22 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     vertices = [toks[1] for toks in rows if len(toks) == 2 and toks[0] == "vertex"]
     edge_rows = [toks for toks in rows if len(toks) == 7 and toks[0] == "edge"]
     ids = {*vertices, *(toks[1] for toks in edge_rows)}
-    edges = None
-    if (
-        len(vertices) + len(edge_rows) == len(ids) == len(rows)
-        and _EMPTY_TOKEN not in ids
-        and "^" not in "".join(ids)
-    ):
-        try:
+    graph = None
+    try:
+        if len(rows) == 1 and rows[0][0] == "bs":
+            _, p, q = rows[0]  # another arity raises ValueError, as int() does
+            graph = bs_graph(int(p), int(q))
+        elif (
+            len(vertices) + len(edge_rows) == len(ids) == len(rows)
+            and _EMPTY_TOKEN not in ids
+            and "^" not in "".join(ids)
+        ):
             edges = [Edge(n, s, d, int(a), int(b), inv) for _, n, s, d, a, b, inv in edge_rows]
-        except ValueError:
-            pass
-    graph = _parse_lines(text) if edges is None else GbsGraph(vertices, edges)
+            graph = GbsGraph(vertices, edges)
+    except ValueError:
+        pass
+    if graph is None:
+        raise GraphError(_first_bad_line(lines))
     if check:
         report = validate(graph)
         if report:
@@ -182,58 +187,40 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     return graph
 
 
-def _parse_lines(text: str) -> GbsGraph:
-    """:func:`parse_graph` one line at a time, without :func:`validate`:
-    the reader of the ``bs`` line, and of every file the bulk pass rejects,
-    whose first bad line it reports."""
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        toks = raw.partition("#")[0].split()
-        if toks:
-            rows.append((lineno, toks))
-
-    def fail(lineno, msg):
-        raise GraphError(f"line {lineno}: {msg}")
-
+def _first_bad_line(lines: Sequence[str]) -> str:
+    """The error of a graph file that :func:`parse_graph`'s bulk checks
+    reject, from its comment-stripped lines: ``line <n>: <what>`` for the
+    first line that breaks a rule, the rules tried in a fixed order."""
+    rows = [(lineno, toks) for lineno, toks in enumerate(map(str.split, lines), 1) if toks]
     if len(rows) == 1 and rows[0][1][0] == "bs":
         lineno, toks = rows[0]
-        if len(toks) != 3:
-            fail(lineno, "expected: bs <p> <q>")
-        try:
-            p, q = int(toks[1]), int(toks[2])
-        except ValueError:
-            fail(lineno, "p and q must be integers")
-        return bs_graph(p, q)
+        # a bs line of three tokens is rejected only by int()
+        what = "expected: bs <p> <q>" if len(toks) != 3 else "p and q must be integers"
+        return f"line {lineno}: {what}"
     ids: set[str] = set()
     for lineno, toks in rows:
         kind = toks[0]
         if kind == "vertex":
             if len(toks) != 2:
-                fail(lineno, "expected: vertex <id>")
+                return f"line {lineno}: expected: vertex <id>"
         elif kind == "edge":
             if len(toks) != 7:
-                fail(lineno, "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>")
+                return f"line {lineno}: expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>"
         elif kind == "bs":
-            fail(lineno, "bs must be the only line of the file")
+            return f"line {lineno}: bs must be the only line of the file"
         else:
-            fail(lineno, f"unknown directive {kind!r}")
+            return f"line {lineno}: unknown directive {kind!r}"
         name = toks[1]  # split() leaves no whitespace, and the comment no "#"
         if name == _EMPTY_TOKEN or "^" in name:
-            fail(lineno, f"bad id {name!r}")
+            return f"line {lineno}: bad id {name!r}"
         if name in ids:
-            fail(lineno, f"duplicate id {name!r}")
+            return f"line {lineno}: duplicate id {name!r}"
         ids.add(name)
-        if kind == "vertex":
-            vertices.append(name)
-            continue
         try:
-            alpha, beta = int(toks[4]), int(toks[5])
+            for label in toks[4:6]:  # none on a vertex line
+                int(label)
         except ValueError:
-            fail(lineno, "alpha and beta must be integers")
-        edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
-    return GbsGraph(vertices, edges)
+            return f"line {lineno}: alpha and beta must be integers"
 
 
 def validate(graph: GbsGraph) -> list[str]:

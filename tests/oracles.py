@@ -9,7 +9,9 @@ package itself has none.  :func:`parse_word` reads text into letters and is
 the reference grammar for ``parse_factorization``.  Witnesses are replayed
 through the rewriting reducer, after joining them letter by letter with
 :func:`to_factorization`, the reference for ``parse_factorization`` and
-``concat``.  From ``gbs`` this module uses only the data types and word
+``concat``.  :func:`parse_graph_lines` reads a graph file one line at a
+time and is the reference reader for ``parse_graph``: its graphs and its
+error texts.  From ``gbs`` this module uses only the data types and word
 helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
 cross-check never runs the code it checks
 (``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
@@ -21,9 +23,11 @@ from typing import Optional, Sequence, Union
 
 from gbs.conjugacy import ConjVerdict
 from gbs.graphs import (
+    Edge,
     GbsError,
     GbsGraph,
     GFactorization,
+    GraphError,
     WordError,
     invert,
 )
@@ -67,6 +71,60 @@ def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
             raise WordError(f"unknown id {tok!r}")
     return tuple(word)
 
+
+
+def parse_graph_lines(text: str) -> GbsGraph:
+    """The graph file format read one line at a time, without the
+    structural checks of ``validate``; a bad line raises
+    :class:`GraphError` naming it."""
+    vertices: list[str] = []
+    edges: list[Edge] = []
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.partition("#")[0].split()
+        if toks:
+            rows.append((lineno, toks))
+
+    def fail(lineno, msg):
+        raise GraphError(f"line {lineno}: {msg}")
+
+    if len(rows) == 1 and rows[0][1][0] == "bs":
+        lineno, toks = rows[0]
+        if len(toks) != 3:
+            fail(lineno, "expected: bs <p> <q>")
+        try:
+            p, q = int(toks[1]), int(toks[2])
+        except ValueError:
+            fail(lineno, "p and q must be integers")
+        return GbsGraph(("a",), (Edge("y", "a", "a", q, p, "Y"), Edge("Y", "a", "a", p, q, "y")))
+    ids: set[str] = set()
+    for lineno, toks in rows:
+        kind = toks[0]
+        if kind == "vertex":
+            if len(toks) != 2:
+                fail(lineno, "expected: vertex <id>")
+        elif kind == "edge":
+            if len(toks) != 7:
+                fail(lineno, "expected: edge <id> <src> <dst> <alpha> <beta> <inv-id>")
+        elif kind == "bs":
+            fail(lineno, "bs must be the only line of the file")
+        else:
+            fail(lineno, f"unknown directive {kind!r}")
+        name = toks[1]
+        if name == "1" or "^" in name:
+            fail(lineno, f"bad id {name!r}")
+        if name in ids:
+            fail(lineno, f"duplicate id {name!r}")
+        ids.add(name)
+        if kind == "vertex":
+            vertices.append(name)
+            continue
+        try:
+            alpha, beta = int(toks[4]), int(toks[5])
+        except ValueError:
+            fail(lineno, "alpha and beta must be integers")
+        edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
+    return GbsGraph(vertices, edges)
 
 def letters(f: GFactorization) -> tuple[Letter, ...]:
     """The letters of f: its nonzero powers and its edges, in order."""

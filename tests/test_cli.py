@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gbs import cli, graphs
+from gbs import britton, cli, graphs
 from gbs.cli import main
 from conftest import AMALGAM, BS23, EXAMPLE_WORD
 from oracles import replays_to_identity
@@ -526,18 +526,69 @@ def test_unreadable_paths_are_reported(capsys, tmp_path, path, reason):
     assert (code, out, err) == (3, "", f"error: cannot read {path}: {reason}\n")
 
 
+WP_ONE = ["wp", "--literal", "{f}", "1"]
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("graph, code", [
-    (BS23, 0), ("vertex a\nedge t a z 2 3 T\n", 3), (None, 3),
-], ids=["good", "invalid", "missing"])
-def test_graph_loading_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled, graph, code):
-    p = tmp_path / "g.graph"
-    if graph is not None:
-        p.write_text(graph)
+@pytest.mark.parametrize("text, argv, code, broken", [
+    (BS23, WP_ONE, 0, False),
+    ("vertex a\nedge t a z 2 3 T\n", WP_ONE, 3, False),
+    (None, WP_ONE, 3, False),
+    (BS23, ["validate", "{f}"], 0, False),
+    ("dim 2\nrel 1,0 ~ 0,1\n", ["monoid", "congruent", "{f}", "1,1", "0,2"], 0, False),
+    (BS23, ["wp", "--literal", "{f}"], 3, False),
+    (BS23, ["wp", "--literal", "{f}", "y a^2 Y a^-3"], 3, True),
+], ids=["good", "invalid", "missing", "validate", "monoid", "usage", "internal"])
+def test_graph_loading_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, enabled, text, argv, code, broken
+):
+    # the command pauses the collector, and every way out restores it
+    if broken:
+        def word_problem(f):
+            raise RuntimeError("broken reducer")
+
+        monkeypatch.setattr(britton, "word_problem", word_problem)
+    p = tmp_path / "in"
+    if text is not None:
+        p.write_text(text)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert run(capsys, "wp", "--literal", str(p), "1")[0] == code
+        assert run(capsys, *(a.format(f=p) for a in argv))[0] == code
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{g}"],
+    ["wp", "--literal", "{g}", EXAMPLE_WORD],
+    ["wp", "--pi1", "--literal", "{a}", "t b^3 T a^-2"],
+    ["reduce", "--literal", "{g}", EXAMPLE_WORD],
+    ["reduce", "--pi1", "--literal", "{a}", "b t"],
+    ["cyc-reduce", "--literal", "{g}", "Y a y a^4"],
+    ["conj", "--literal", "--witness", "{g}", "a y", "y"],
+    ["conj", "--literal", "{g}", "a^6", "a^2", "--bound", "1"],
+    ["monoid", "congruent", "{m}", "0,1", "1,0"],
+    ["convert", "monoid-to-gbs", "{m}", "2,0", "0,1"],
+], ids=[
+    "validate", "wp", "wp-pi1", "reduce", "reduce-pi1", "cyc-reduce", "conj-witness",
+    "conj-unknown", "monoid-congruent", "convert",
+])
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, argv):
+    # why the command may pause the collector: reference counting alone
+    # frees everything a query drops
+    paths = {"g": tmp_path / "g", "a": tmp_path / "a", "m": tmp_path / "m"}
+    paths["g"].write_text(BS23 + "\n")
+    paths["a"].write_text(AMALGAM)
+    paths["m"].write_text("dim 2\nrel 0,0 ~ 0,2\nrel 0,0 ~ 1,1\n")
+    argv = [a.format(**paths) for a in argv]
+    was = gc.isenabled()
+    try:
+        gc.disable()
+        gc.collect()
+        code = main(argv)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code in (0, 1, 2) and capsys.readouterr().err == ""

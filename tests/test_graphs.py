@@ -528,6 +528,29 @@ def test_parse_graph_errors_name_the_line(text, message):
         assert str(info.value) == message
 
 
+
+# a line that breaks several rules, and labels that int() takes ahead of a
+# bad line: the scan for the error keeps the line reader's order of rules
+RULE_ORDER_ERRORS = [
+    ("vortex 1 2 3\n", "line 1: unknown directive 'vortex'"),
+    ("vertex 1 2\n", "line 1: expected: vertex <id>"),
+    ("vertex a\nedge 1 a a x 1\n", f"line 2: {EDGE_ARITY}"),
+    ("vertex a\nedge y^2 a a x 1 Y\n", "line 2: bad id 'y^2'"),
+    ("vertex a\nedge a a a x 1 Y\n", "line 2: duplicate id 'a'"),
+    ("vertex a\nedge y a a +2 1_0 Y\nedge Y a a \u0663 -0 y\nvortex\n", "line 4: unknown directive 'vortex'"),
+    ("bs 2 3 x\nvertex a\n", "line 1: bs must be the only line of the file"),
+    ("bs x 3 4\n", "line 1: expected: bs <p> <q>"),
+    ("bs +2 y\n", "line 1: p and q must be integers"),
+]
+
+
+@pytest.mark.parametrize("text, message", RULE_ORDER_ERRORS)
+def test_the_first_bad_line_is_found_by_the_line_readers_rules(text, message):
+    for read in (oracles.parse_graph_lines, parse_graph, lambda text: parse_graph(text, check=False)):
+        with pytest.raises(GraphError) as info:
+            read(text)
+        assert str(info.value) == message
+
 def test_parse_graph_skips_comments_and_blank_lines():
     text = "# bs 2 3 in the long form\n\nvertex a # a comment\n \t \nedge y a a 3 2 Y\n#\nedge Y a a 2 3 y#x\n"
     g = parse_graph(text)
@@ -629,8 +652,8 @@ def _mutate(lines, data, kind):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bulk_parse_graph_agrees_with_the_line_reader(kind, data):
-    # a well-formed file is read in bulk; any other goes to the line reader,
-    # so every input gives the line reader's graph or its exact error
+    # every input gives the reference line reader's graph or its exact error:
+    # the bulk pass builds the graph, and the first-bad-line scan the error
     if data.draw(st.integers(0, 4)):
         text = gen.random_graph(random.Random(data.draw(st.integers(0, 10**6))), 5, 8).to_text()
     else:
@@ -645,12 +668,24 @@ def test_bulk_parse_graph_agrees_with_the_line_reader(kind, data):
     text = data.draw(st.sampled_from(["\n", "\r\n"] + BREAKS)).join(lines) + "\n"
     for check in (True, False):
         def line_reader():
-            graph = graphs._parse_lines(text)
+            graph = oracles.parse_graph_lines(text)
             if check and validate(graph):
                 raise GraphError("; ".join(validate(graph)))
             return graph
         assert _outcome(lambda: parse_graph(text, check=check)) == _outcome(line_reader)
 
+
+
+def test_well_formed_files_are_read_once(monkeypatch):
+    # only a file the bulk checks reject is scanned again for its bad line
+    def scan(lines):
+        raise AssertionError("a well-formed file reached the first-bad-line scan")
+
+    monkeypatch.setattr(graphs, "_first_bad_line", scan)
+    assert parse_graph("# the loop\r\n\r\n  bs 2 3  # p, q\r\n") == parse_graph("bs 2 3")
+    g = gen.random_graph(random.Random(17), 5, 8)
+    assert parse_graph(g.to_text()) == g
+    assert parse_graph(TREE_TEXT).to_text() == TREE_TEXT
 
 def test_rebase_errors(amalgam):
     # every token is read before the base is checked, so a bad token wins
