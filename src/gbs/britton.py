@@ -39,12 +39,12 @@ class PrefixRatios:
     """
 
     def __init__(self, f: GFactorization):
-        g = f.graph
+        by_name = f.graph.by_name
         n = f.n
         alpha = [1] * (n + 1)
         beta = [1] * (n + 1)
         for i, (name, _) in enumerate(f.steps, 1):
-            e = g.edge(name)
+            e = by_name[name]
             alpha[i] = e.alpha
             beta[i] = e.beta
         num = [1] * (n + 1)  # prod of alpha, edges 1..i
@@ -101,10 +101,10 @@ def k_interval(f: GFactorization, i: int, j: int) -> Fraction:
 def _rho_prefixes(f: GFactorization, oriented: Sequence[str]) -> list[tuple[int, ...]]:
     """Signed oriented-edge counts of every prefix, as hashable tuples."""
     slot: dict[str, tuple[int, int]] = {}
-    g = f.graph
+    by_name = f.graph.by_name
     for idx, name in enumerate(oriented):
         slot[name] = (idx, 1)
-        slot[g.inverse(name)] = (idx, -1)
+        slot[by_name[name].inv] = (idx, -1)
     cur = [0] * len(oriented)
     out = [tuple(cur)]
     for name, _ in f.steps:
@@ -138,7 +138,7 @@ def sim_c(f: GFactorization, i: int, j: int) -> bool:
     if i > j:
         i, j = j, i
     g = f.graph
-    if f.steps[j - 1][0] != g.inverse(f.steps[i - 1][0]):
+    if f.steps[j - 1][0] != g.by_name[f.steps[i - 1][0]].inv:
         return False
     pre = _rho_prefixes(f, orientation(g))
     if pre[i] != pre[j - 1]:
@@ -182,7 +182,7 @@ def _sim_pairs(f: GFactorization, pr: PrefixRatios):
     divisibility conditions."""
     n = f.n
     g = f.graph
-    inv = [""] + [g.inverse(name) for name, _ in f.steps]
+    inv = [""] + [g.by_name[name].inv for name, _ in f.steps]
     names = [""] + [name for name, _ in f.steps]
     pre = _rho_prefixes(f, orientation(g))
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -292,7 +292,7 @@ def vertex_group_exponent(f: GFactorization, i: int, j: int) -> Optional[int]:
         start, k = f.base, f.k0
     else:
         name, k = f.steps[i - 1]
-        start = g.target(name)
+        start = g.by_name[name].dst
     h = britton_reduce_fast(GFactorization(g, start, k, f.steps[i:j]))
     return None if h.n else h.k0
 
@@ -344,11 +344,11 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
     h = britton_reduce_fast(f)
     if not h.n:
         return h, GFactorization._trusted(f.graph, h.base, 0, ())
-    g = f.graph
+    g, by_name = f.graph, f.graph.by_name
     steps = h.steps
     lo, hi, c = 0, h.n - 1, h.k0  # the word is steps[lo..hi], c added to the last exponent
     while lo < hi:
-        e = g.edge(steps[hi][0])
+        e = by_name[steps[hi][0]]
         k = steps[hi][1] + c
         if steps[lo][0] != e.inv or k % e.beta:
             break
@@ -357,7 +357,7 @@ def cyclically_reduce_with_conjugator(f: GFactorization):
     trusted = GFactorization._trusted  # pieces of h's path
     if lo > hi:
         return trusted(g, e.src, c, ()), trusted(g, e.src, 0, steps[hi + 1 :])
-    base = g.source(steps[lo][0])
+    base = by_name[steps[lo][0]].src
     middle = steps[lo:hi] + ((steps[hi][0], steps[hi][1] + c),)
     return trusted(g, base, 0, middle), trusted(g, base, -c, steps[hi + 1 :])
 

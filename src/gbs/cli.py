@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for yes/success, 1 for no, 2 for undecided, 3 for any input or
-usage error, for a failed internal self-check and for any other exception,
-reported as one ``internal error: ...`` line (never as a "no").  Exponents may
-have any number of digits.
+usage error and 3 for a fault of the package: a failed self-check (a witness
+that does not verify) or any other exception, reported as one ``internal
+error: ...`` line, never as a "no".  Exponents may have any number of digits.
 Diagnostics go to stderr; reports are deterministic on stdout.
 
 How a call runs: the words that name a command pick that command's own
@@ -62,7 +62,7 @@ def _word_text(arg: str, literal: bool) -> str:
 def _factorization(arg: str, graph, args) -> graphs.GFactorization:
     text = _word_text(arg, args.literal)
     if getattr(args, "pi1", False):
-        return graphs.rebase(text, graph, args.base or min(graph.vertices))
+        return graphs.rebase(text, graph, min(graph.vertices) if args.base is None else args.base)
     return graphs.parse_factorization(text, graph)
 
 
@@ -251,6 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 gc.enable()
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except graphs.InternalError as exc:  # a subclass of GbsError: caught first
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except graphs.GbsError as exc:
         print(f"error: {exc}", file=sys.stderr)

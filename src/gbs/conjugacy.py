@@ -269,6 +269,6 @@ def conjugate(
     r, x = found
     # rotation r of wh is zr wh zr^-1 (zr is empty at r = 0, not the whole
     # loop), and base^x conjugates vh to it
-    zr = GFactorization._trusted(graph, graph.source(wh.steps[r][0]), 0, wh.steps[r:] if r else ())
+    zr = GFactorization._trusted(graph, graph.by_name[wh.steps[r][0]].src, 0, wh.steps[r:] if r else ())
     middle = GFactorization._trusted(graph, vh.base, x, ())
     return _verified("hyperbolic", v, w, lambda: concat(invert(zw), invert(zr), middle, zv))

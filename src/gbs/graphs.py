@@ -28,7 +28,7 @@ class WordError(GbsError):
 
 class InternalError(GbsError):
     """A self-check failed: a computed witness did not verify.  Never a
-    verdict; the CLI reports it as an error."""
+    verdict; the CLI reports it as an internal error."""
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -60,15 +60,15 @@ _EMPTY_TOKEN = "1"
 
 
 class GbsGraph:
-    """Immutable graph with edge involution and labels; indexes are built
-    eagerly, the spanning tree's search on first use, deeper
-    well-formedness lives in :func:`validate`.  ``by_name`` maps each edge
-    name to its :class:`Edge`; hot loops read it directly."""
+    """Immutable graph: ``vertices`` and ``edges`` in file order, and two
+    tables that every caller reads directly: ``vertex_set``, the frozenset of
+    vertex ids, and ``by_name``, each edge name's :class:`Edge` (source,
+    target, labels, inverse).  Deeper well-formedness lives in :func:`validate`."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._vertex_set = set(self.vertices)
+        self.vertex_set = frozenset(self.vertices)
         self.by_name = {e.name: e for e in self.edges}
         self._out: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -94,33 +94,6 @@ class GbsGraph:
 
     def __repr__(self):
         return f"GbsGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
-
-    def has_edge(self, name: str) -> bool:
-        return name in self.by_name
-
-    def edge(self, name: str) -> Edge:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise GraphError(f"unknown edge {name!r}") from None
-
-    def alpha(self, name: str) -> int:
-        return self.edge(name).alpha
-
-    def beta(self, name: str) -> int:
-        return self.edge(name).beta
-
-    def source(self, name: str) -> str:
-        return self.edge(name).src
-
-    def target(self, name: str) -> str:
-        return self.edge(name).dst
-
-    def inverse(self, name: str) -> str:
-        return self.edge(name).inv
 
     def out_edges(self, v: str) -> tuple[str, ...]:
         return tuple(self._out.get(v, ()))
@@ -234,7 +207,7 @@ def validate(graph: GbsGraph) -> list[str]:
     same vertices; with a broken one the verdict can hang on the root.
     """
     report: list[str] = []
-    vertex_set, by_name = graph._vertex_set, graph.by_name
+    vertex_set, by_name = graph.vertex_set, graph.by_name
     if not graph.vertices:
         report.append("graph has no vertices")
     if len(vertex_set) != len(graph.vertices):
@@ -295,10 +268,9 @@ class GFactorization:
     steps: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        g = self.graph
-        if not g.has_vertex(self.base):
+        if self.base not in self.graph.vertex_set:
             raise WordError(f"unknown vertex {self.base!r}")
-        by_name = g.by_name
+        by_name = self.graph.by_name
         cur = self.base
         for name, _ in self.steps:
             e = by_name.get(name)
@@ -322,7 +294,7 @@ class GFactorization:
 
     @property
     def end(self) -> str:
-        return self.graph.target(self.steps[-1][0]) if self.steps else self.base
+        return self.graph.by_name[self.steps[-1][0]].dst if self.steps else self.base
 
     @property
     def is_closed(self) -> bool:
@@ -346,7 +318,7 @@ def parse_factorization(text: str, graph: GbsGraph) -> GFactorization:
     into a factorization in one pass: adjacent powers merge, edges in a row
     get zero exponents, and a power or edge off the path is reported once
     every token is parsed.  This is the package's one word grammar."""
-    vertices, by_name = graph._vertex_set, graph.by_name
+    vertices, by_name = graph.vertex_set, graph.by_name
     base = cur = None
     k0 = 0
     names: list[str] = []
@@ -439,7 +411,7 @@ def _tree_paths(
     (see :attr:`GbsGraph._tree`), shared with :func:`validate`, so it runs
     once per graph.  The graph is taken as valid (see :func:`validate`)
     apart from connectivity, which is checked here."""
-    if start is not None and not graph.has_vertex(start):
+    if start is not None and start not in graph.vertex_set:
         raise GraphError(f"unknown vertex {start!r}")
     if not graph.vertices:
         raise GraphError("graph has no vertices")
@@ -480,7 +452,7 @@ def spanning_tree(graph: GbsGraph) -> frozenset:
     for step in prev.values():
         if step is not None:
             tree.add(step[1])
-            tree.add(graph.inverse(step[1]))
+            tree.add(graph.by_name[step[1]].inv)
     return frozenset(tree)
 
 

@@ -370,9 +370,9 @@ class MonoidEncoding:
         conjugates by the inverse of its relation's edge, a step s->r by the
         edge, a sign step by nothing, and the steps compose right to left,
         so the word maps the path's start to its end."""
-        edges = self.step_letters
+        edges, by_name = self.step_letters, self.graph.by_name
         return tuple(
-            self.graph.inverse(edges[i]) if d > 0 else edges[i]
+            by_name[edges[i]].inv if d > 0 else edges[i]
             for i, d in reversed(path) if edges[i] is not None
         )
 
@@ -387,7 +387,7 @@ def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
     relations: list[tuple[ExpVec, ExpVec]] = []
     letters: list[Optional[str]] = []
     for name in orientation(graph):
-        e = graph.edge(name)
+        e = graph.by_name[name]
         _, r = _split(e.alpha, basis, vertices, e.src)
         _, s = _split(e.beta, basis, vertices, e.dst)
         relations.append((r, s))

@@ -69,7 +69,7 @@ def random_closed_factorization(
                 break
             name = rng.choice(out)
             names.append(name)
-            cur = graph.target(name)
+            cur = graph.by_name[name].dst
         if dead or cur != base:
             continue
         steps = tuple((name, rng.randint(-max_exp, max_exp)) for name in names)
@@ -91,7 +91,7 @@ def random_conjugator(
             break
         name = rng.choice(out)
         names.append(name)
-        cur = graph.target(name)
+        cur = graph.by_name[name].dst
     # walk away from base, then read it backwards so the path ends at base
     away = GFactorization(
         graph, base, rng.randint(-max_exp, max_exp),

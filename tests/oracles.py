@@ -56,16 +56,16 @@ def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
             continue
         if "^" in tok:
             name, _, exp = tok.partition("^")
-            if not graph.has_vertex(name):
+            if name not in graph.vertex_set:
                 raise WordError(f"unknown vertex {name!r}")
             try:
                 k = int(exp)
             except ValueError:
                 raise WordError(f"malformed exponent in {tok!r}") from None
             word.append(VertexPower(name, k))
-        elif graph.has_edge(tok):
+        elif tok in graph.by_name:
             word.append(EdgeLetter(tok))
-        elif graph.has_vertex(tok):
+        elif tok in graph.vertex_set:
             word.append(VertexPower(tok, 1))
         else:
             raise WordError(f"unknown id {tok!r}")
@@ -135,7 +135,7 @@ def letters(f: GFactorization) -> tuple[Letter, ...]:
     for name, k in f.steps:
         out.append(EdgeLetter(name))
         if k:
-            out.append(VertexPower(g.target(name), k))
+            out.append(VertexPower(g.by_name[name].dst, k))
     return tuple(out)
 
 
@@ -150,7 +150,7 @@ def to_factorization(word: Sequence[Letter], graph: GbsGraph) -> GFactorization:
     cur: Optional[str] = None
     for letter in word:
         if isinstance(letter, VertexPower):
-            if not graph.has_vertex(letter.vertex):
+            if letter.vertex not in graph.vertex_set:
                 raise WordError(f"unknown vertex {letter.vertex!r}")
             if cur is None:
                 base = cur = letter.vertex
@@ -163,7 +163,7 @@ def to_factorization(word: Sequence[Letter], graph: GbsGraph) -> GFactorization:
             else:
                 k0 += letter.exp
         else:
-            e = graph.edge(letter.edge)
+            e = graph.by_name[letter.edge]
             if cur is None:
                 base = cur = e.src
             elif e.src != cur:
@@ -192,9 +192,9 @@ def britton_reduce_naive(f: GFactorization) -> GFactorization:
     names = [""] + [name for name, _ in f.steps]
     r = 1
     while r < len(names) - 1:
-        name = names[r]
-        if names[r + 1] == g.inverse(name) and exps[r] % g.beta(name) == 0:
-            exps[r - 1] += g.alpha(name) * (exps[r] // g.beta(name)) + exps[r + 1]
+        e = g.by_name[names[r]]
+        if names[r + 1] == e.inv and exps[r] % e.beta == 0:
+            exps[r - 1] += e.alpha * (exps[r] // e.beta) + exps[r + 1]
             del names[r : r + 2]
             del exps[r : r + 2]
             r = max(1, r - 1)
@@ -205,10 +205,10 @@ def britton_reduce_naive(f: GFactorization) -> GFactorization:
 
 def is_britton_reduced(f: GFactorization) -> bool:
     """No factor ``y v^k Y`` with beta(y) dividing k."""
-    g = f.graph
+    by_name = f.graph.by_name
     for r in range(f.n - 1):
         name, k = f.steps[r]
-        if f.steps[r + 1][0] == g.inverse(name) and k % g.beta(name) == 0:
+        if f.steps[r + 1][0] == by_name[name].inv and k % by_name[name].beta == 0:
             return False
     return True
 
@@ -229,11 +229,12 @@ def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Le
     z: list[Letter] = []
     while h.n >= 2:
         name, k = h.steps[-1]
-        front = GFactorization(g, g.source(name), 0, ((name, k + h.k0),) + h.steps[:-1])
+        src = g.by_name[name].src
+        front = GFactorization(g, src, 0, ((name, k + h.k0),) + h.steps[:-1])
         rotated = britton_reduce_naive(front)
         if rotated.n == h.n:
             break
-        z[:0] = letters(GFactorization(g, g.source(name), 0, ((name, k),)))
+        z[:0] = letters(GFactorization(g, src, 0, ((name, k),)))
         h = rotated
     if h.n == 0:
         return h, tuple(z)
@@ -345,14 +346,14 @@ def conj_brute_status(
 
     n = vh.n
     ks = [k for _, k in vh.steps]
-    alpha = [graph.alpha(name) for name, _ in vh.steps]
-    beta = [graph.beta(name) for name, _ in vh.steps]
+    alpha = [graph.by_name[name].alpha for name, _ in vh.steps]
+    beta = [graph.by_name[name].beta for name, _ in vh.steps]
     path = [name for name, _ in vh.steps]
     for r in range(n):
         steps = wh.steps[r:] + wh.steps[:r]  # the rotation zr wh zr^-1
         if [name for name, _ in steps] != path:
             continue
-        zr = letters(GFactorization(graph, graph.source(steps[0][0]), 0, wh.steps[r:]))
+        zr = letters(GFactorization(graph, graph.by_name[steps[0][0]].src, 0, wh.steps[r:]))
         ls = [k for _, k in steps]
 
         def works(x: int) -> bool:

@@ -172,9 +172,9 @@ def _closed_walk(rng, g, n):
     reduced; None when the random walk does not close."""
     names = [rng.choice(g.out_edges("a"))]
     for _ in range(n - 1):
-        prev = g.edge(names[-1])
+        prev = g.by_name[names[-1]]
         names.append(rng.choice([e for e in g.out_edges(prev.dst) if e != prev.inv]))
-    first, last = g.edge(names[0]), g.edge(names[-1])
+    first, last = g.by_name[names[0]], g.by_name[names[-1]]
     if last.dst != "a" or first.inv == last.name:
         return None
     return names
@@ -185,7 +185,7 @@ def _pushed(rng, v):
     label allows: each carried power crosses the next edge, and a random
     multiple of the following alpha is carried on."""
     g = v.graph
-    labels = [g.edge(name) for name, _ in v.steps]
+    labels = [g.by_name[name] for name, _ in v.steps]
     carry = labels[0].alpha * rng.randint(-3, 3)
     x, steps = carry, []
     for i, ((name, k), e) in enumerate(zip(v.steps, labels)):
@@ -241,7 +241,7 @@ def _periodic_pairs(rng):
             if rng.random() < 0.5:
                 v = w
         r = rng.randrange(w.n)
-        if g.source(w.steps[r][0]) != "a":
+        if g.by_name[w.steps[r][0]].src != "a":
             continue
         yield v, GFactorization(g, "a", 0, w.steps[r:] + w.steps[:r])
 
@@ -493,7 +493,7 @@ def test_solver_properties_on_random_corpus():
         vh, _ = cyclically_reduce_with_conjugator(v)
         if vh.n:
             r = rng.randrange(vh.n)
-            rot = GFactorization(g, g.source(vh.steps[r][0]), 0, vh.steps[r:] + vh.steps[:r])
+            rot = GFactorization(g, g.by_name[vh.steps[r][0]].src, 0, vh.steps[r:] + vh.steps[:r])
             res_rot = conjugate(rot, w)
             if _decided(res.verdict) and _decided(res_rot.verdict):
                 assert res.verdict == res_rot.verdict

@@ -34,7 +34,7 @@ from conftest import AMALGAM, BS23, EXAMPLE_WORD, TRIANGLE, fact
 
 def test_parse_bs_header(bs23):
     assert bs23.vertices == ("a",)
-    y, Y = bs23.edge("y"), bs23.edge("Y")
+    y, Y = bs23.by_name["y"], bs23.by_name["Y"]
     assert (y.alpha, y.beta, y.inv) == (3, 2, "Y")
     assert (Y.alpha, Y.beta, Y.inv) == (2, 3, "y")
     assert y.src == y.dst == "a"
@@ -43,7 +43,7 @@ def test_parse_bs_header(bs23):
 def test_parse_two_vertex_file(amalgam):
     assert amalgam.vertices == ("a", "b")
     assert len(amalgam.edges) == 2
-    assert amalgam.edge("t").alpha == 2
+    assert amalgam.by_name["t"].alpha == 2
 
 
 def test_parse_missing_inverse_is_an_error():
@@ -357,10 +357,10 @@ def _dfs_tree_path(graph, tree, start, goal):
         if v == goal:
             return path
         for name in tree:
-            w = graph.target(name)
-            if graph.source(name) == v and w not in seen:
-                seen.add(w)
-                stack.append((w, path + (name,)))
+            e = graph.by_name[name]
+            if e.src == v and e.dst not in seen:
+                seen.add(e.dst)
+                stack.append((e.dst, path + (name,)))
     raise AssertionError(f"no tree path from {start} to {goal}")
 
 
@@ -392,7 +392,7 @@ def test_tree_path_and_rebase_agree_with_depth_first_search():
             expected = [VertexPower(base, 0)]
             for letter in parse_word(" ".join(tokens), g):
                 if isinstance(letter, EdgeLetter):
-                    src, dst = g.source(letter.edge), g.target(letter.edge)
+                    src, dst = g.by_name[letter.edge].src, g.by_name[letter.edge].dst
                 else:
                     src = dst = letter.vertex
                 expected += [EdgeLetter(y) for y in _dfs_tree_path(g, tree, base, src)]
@@ -454,7 +454,7 @@ def _draw_factorization(graph, base, data, max_len=8):
     for _ in range(data.draw(st.integers(0, max_len))):
         name = data.draw(st.sampled_from(graph.out_edges(cur)))
         steps.append((name, data.draw(EXPONENTS)))
-        cur = graph.target(name)
+        cur = graph.by_name[name].dst
     return GFactorization(graph, base, data.draw(EXPONENTS), tuple(steps))
 
 

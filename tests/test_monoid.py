@@ -202,7 +202,7 @@ def test_monoid_to_gbs_example():
     pres = MonPresentation(2, (((2, 0), (0, 1)),))
     graph, k, ell = monoid_to_gbs(pres, (2, 0), (0, 1))
     assert (k, ell) == (4, 3)
-    assert graph.edge("y0").alpha == 4 and graph.edge("y0").beta == 3
+    assert graph.by_name["y0"].alpha == 4 and graph.by_name["y0"].beta == 3
     res = conjugate(
         GFactorization(graph, "a", k, ()), GFactorization(graph, "a", ell, ())
     )
