@@ -55,6 +55,18 @@ _set_name, _set_src, _set_dst, _set_alpha, _set_beta, _set_inv = (
 )
 
 
+class _LabelTable(dict):
+    """One graph file's label texts and their integers, each text converted
+    by ``int`` on its first lookup: a file of a thousand edges holds a few
+    distinct labels, and a small file pays one dict for the table."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        self[text] = n = int(text)
+        return n
+
+
 # reserved: prints as the empty word
 _EMPTY_TOKEN = "1"
 
@@ -63,17 +75,21 @@ class GbsGraph:
     """Immutable graph: ``vertices`` and ``edges`` in file order, and two
     tables that every caller reads directly: ``vertex_set``, the frozenset of
     vertex ids, and ``by_name``, each edge name's :class:`Edge` (source,
-    target, labels, inverse).  Deeper well-formedness lives in :func:`validate`."""
+    target, labels, inverse).  The private ``_out`` lists each vertex's
+    out-edges as :class:`Edge` records in file order, for :func:`_search`;
+    :meth:`out_edges` gives their names.  Deeper well-formedness lives in
+    :func:`validate`."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.vertex_set = frozenset(self.vertices)
         self.by_name = {e.name: e for e in self.edges}
-        self._out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.src in self._out:
-                self._out[e.src].append(e.name)
+            if e.src in out:
+                out[e.src].append(e)
+        self._out = out
 
     def __eq__(self, other):
         return (
@@ -96,7 +112,7 @@ class GbsGraph:
         return f"GbsGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def out_edges(self, v: str) -> tuple[str, ...]:
-        return tuple(self._out.get(v, ()))
+        return tuple(e.name for e in self._out.get(v, ()))
 
     def to_text(self) -> str:
         lines = [f"vertex {v}" for v in self.vertices]
@@ -127,13 +143,15 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
 
     Every file is read in one bulk pass: every line split at once,
     directives and arities checked by counting the rows that match, ids by
-    one set, labels by ``int``.  A file that fails a check builds nothing:
-    :func:`_first_bad_line` scans its lines for the error to report.
+    one set, labels by ``int``, which runs once per distinct label text (a
+    file of a thousand edges spells a handful).  A file that fails a check
+    builds nothing: :func:`_first_bad_line` scans its lines for the error
+    to report.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    rows = [toks for toks in map(str.split, lines) if toks]
+    rows = list(filter(None, map(str.split, lines)))
     vertices = [toks[1] for toks in rows if len(toks) == 2 and toks[0] == "vertex"]
     edge_rows = [toks for toks in rows if len(toks) == 7 and toks[0] == "edge"]
     ids = {*vertices, *(toks[1] for toks in edge_rows)}
@@ -147,7 +165,8 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
             and _EMPTY_TOKEN not in ids
             and "^" not in "".join(ids)
         ):
-            edges = [Edge(n, s, d, int(a), int(b), inv) for _, n, s, d, a, b, inv in edge_rows]
+            num = _LabelTable()
+            edges = [Edge(n, s, d, num[a], num[b], inv) for _, n, s, d, a, b, inv in edge_rows]
             graph = GbsGraph(vertices, edges)
     except ValueError:
         pass
@@ -205,6 +224,10 @@ def validate(graph: GbsGraph) -> list[str]:
     from the least vertex, which the graph keeps for its tree paths.  With
     a valid involution every edge has a reverse, so any root reaches the
     same vertices; with a broken one the verdict can hang on the root.
+
+    Each edge is first tested against all its conditions in one
+    expression; the checks that write the messages run only for an edge
+    that fails it, in a fixed order, so the report is the same either way.
     """
     report: list[str] = []
     vertex_set, by_name = graph.vertex_set, graph.by_name
@@ -217,13 +240,19 @@ def validate(graph: GbsGraph) -> list[str]:
     if not vertex_set.isdisjoint(by_name):
         report.append("vertex and edge ids overlap")
     for e in graph.edges:
+        inv = by_name.get(e.inv)
+        if (
+            e.alpha and e.beta and e.src in vertex_set and e.dst in vertex_set
+            and inv is not None and e.inv != e.name and inv.inv == e.name
+            and inv.src == e.dst and inv.dst == e.src and inv.beta == e.alpha
+        ):
+            continue
         if e.alpha == 0 or e.beta == 0:
             report.append(f"edge {e.name}: zero label")
         if e.src not in vertex_set:
             report.append(f"edge {e.name}: unknown source vertex {e.src!r}")
         if e.dst not in vertex_set:
             report.append(f"edge {e.name}: unknown target vertex {e.dst!r}")
-        inv = by_name.get(e.inv)
         if inv is None:
             report.append(f"edge {e.name}: missing inverse {e.inv!r}")
             continue
@@ -242,17 +271,18 @@ def validate(graph: GbsGraph) -> list[str]:
 
 
 def _search(graph: GbsGraph, root: str) -> dict[str, Optional[tuple[str, str]]]:
-    """Breadth-first search from ``root`` along out-edges in file order.
-    Maps every vertex reached to the step that first reached it,
-    ``(previous vertex, edge name)``, and ``root`` to None."""
-    by_name, out = graph.by_name, graph._out
+    """Breadth-first search from ``root`` along out-edges in file order,
+    read as the :class:`Edge` records of ``graph._out``, so no edge is
+    looked up by name.  Maps every vertex reached to the step that first
+    reached it, ``(previous vertex, edge name)``, and ``root`` to None."""
+    out = graph._out
     prev: dict[str, Optional[tuple[str, str]]] = {root: None}
     order = [root]
     for v in order:  # the list grows as the search goes: a FIFO queue
-        for name in out.get(v, ()):
-            w = by_name[name].dst
+        for e in out.get(v, ()):
+            w = e.dst
             if w not in prev:
-                prev[w] = (v, name)
+                prev[w] = (v, e.name)
                 order.append(w)
     return prev
 
@@ -416,7 +446,7 @@ def _tree_paths(
     if not graph.vertices:
         raise GraphError("graph has no vertices")
     prev = graph._tree
-    if any(v not in prev for v in graph.vertices):
+    if not prev.keys() >= graph.vertex_set:
         raise GraphError("graph is not connected")
     if start is None:
         start = min(graph.vertices)

@@ -11,7 +11,8 @@ through the rewriting reducer, after joining them letter by letter with
 :func:`to_factorization`, the reference for ``parse_factorization`` and
 ``concat``.  :func:`parse_graph_lines` reads a graph file one line at a
 time and is the reference reader for ``parse_graph``: its graphs and its
-error texts.  From ``gbs`` this module uses only the data types and word
+error texts.  :func:`validate_reference` runs every check of ``validate``
+on every edge.  From ``gbs`` this module uses only the data types and word
 helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
 cross-check never runs the code it checks
 (``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
@@ -125,6 +126,56 @@ def parse_graph_lines(text: str) -> GbsGraph:
             fail(lineno, "alpha and beta must be integers")
         edges.append(Edge(name, toks[2], toks[3], alpha, beta, toks[6]))
     return GbsGraph(vertices, edges)
+
+
+def validate_reference(graph: GbsGraph) -> list[str]:
+    """``validate``'s report written check by check for every edge, its
+    tables and its connectivity search rebuilt here: every vertex must be
+    reached from the least one along edges whose source is a vertex."""
+    report: list[str] = []
+    vertex_set = set(graph.vertices)
+    by_name = {e.name: e for e in graph.edges}
+    if not graph.vertices:
+        report.append("graph has no vertices")
+    if len(vertex_set) != len(graph.vertices):
+        report.append("duplicate vertex ids")
+    if len(by_name) != len(graph.edges):
+        report.append("duplicate edge ids")
+    if not vertex_set.isdisjoint(by_name):
+        report.append("vertex and edge ids overlap")
+    for e in graph.edges:
+        if e.alpha == 0 or e.beta == 0:
+            report.append(f"edge {e.name}: zero label")
+        if e.src not in vertex_set:
+            report.append(f"edge {e.name}: unknown source vertex {e.src!r}")
+        if e.dst not in vertex_set:
+            report.append(f"edge {e.name}: unknown target vertex {e.dst!r}")
+        inv = by_name.get(e.inv)
+        if inv is None:
+            report.append(f"edge {e.name}: missing inverse {e.inv!r}")
+            continue
+        if inv.name == e.name:
+            report.append(f"edge {e.name}: is its own inverse")
+            continue
+        if inv.inv != e.name:
+            report.append(f"edge {e.name}: involution is not symmetric")
+        if inv.src != e.dst or inv.dst != e.src:
+            report.append(f"edge {e.name}: inverse endpoints do not match")
+        if inv.beta != e.alpha:
+            report.append(f"edge {e.name}: alpha differs from beta of inverse")
+    if graph.vertices:
+        reached = {min(graph.vertices)}
+        grown = True
+        while grown:
+            grown = False
+            for e in graph.edges:
+                if e.src in reached and e.src in vertex_set and e.dst not in reached:
+                    reached.add(e.dst)
+                    grown = True
+        if not vertex_set <= reached:
+            report.append("graph is not connected")
+    return report
+
 
 def letters(f: GFactorization) -> tuple[Letter, ...]:
     """The letters of f: its nonzero powers and its edges, in order."""

@@ -113,6 +113,63 @@ def test_validate_self_inverse():
     assert any("own inverse" in line for line in validate(g))
 
 
+MUTATIONS = [
+    "zero label", "swapped endpoint", "alpha/beta mismatch", "self-inverse",
+    "missing inverse", "unknown endpoint", "duplicate id", "second component",
+]
+
+
+def _mutated(g, rng, kind):
+    """g with one seeded edit of the given kind, in a graph of its own."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    i = rng.randrange(len(edges))
+    e = edges[i]
+    if kind == "zero label":
+        edges[i] = dataclasses.replace(e, **{rng.choice(("alpha", "beta")): 0})
+    elif kind == "swapped endpoint":  # a loop stays as it was
+        edges[i] = dataclasses.replace(e, src=e.dst, dst=e.src)
+    elif kind == "alpha/beta mismatch":
+        edges[i] = dataclasses.replace(e, alpha=e.alpha + 1 or 2)
+    elif kind == "self-inverse":
+        edges[i] = dataclasses.replace(e, inv=e.name)
+    elif kind == "missing inverse":  # its partner's inverse goes missing
+        del edges[i]
+    elif kind == "unknown endpoint":  # of the edge, or of its pair, which still matches
+        end = rng.choice(("src", "dst"))
+        edges[i] = dataclasses.replace(e, **{end: "zz"})
+        j = next(j for j, f in enumerate(edges) if f.name == e.inv)
+        if j != i and rng.random() < 0.5:
+            edges[j] = dataclasses.replace(edges[j], **{"dst" if end == "src" else "src": "zz"})
+    elif kind == "duplicate id":
+        where = rng.choice(("edge", "vertex", "overlap"))
+        if where == "edge":
+            edges.insert(rng.randrange(len(edges) + 1), e)
+        elif where == "vertex":
+            vertices.append(rng.choice(vertices))
+        else:
+            vertices.append(e.name)
+    else:  # a vertex with a loop pair of its own
+        vertices.insert(rng.randrange(len(vertices) + 1), "zz")
+        edges += [Edge("zy", "zz", "zz", 2, 3, "zY"), Edge("zY", "zz", "zz", 3, 2, "zy")]
+    return GbsGraph(vertices, edges)
+
+
+def test_validate_agrees_with_the_reference_checks():
+    # the combined test per edge may skip the message-writing checks only
+    # where they would write nothing: every report is the reference's, in order
+    rng = random.Random(19)
+    graphs_seen = [parse_graph(TREE_TEXT)]
+    for _ in range(300):
+        graphs_seen.append(gen.random_graph(rng, 6, 10))
+    for g in graphs_seen:
+        assert validate(g) == oracles.validate_reference(g) == []
+        for kind in MUTATIONS:
+            bad = _mutated(g, rng, kind)
+            report = validate(bad)
+            assert report == oracles.validate_reference(bad), kind
+            assert report or kind == "swapped endpoint", kind
+
+
 def test_parse_word_example(bs23):
     letters = parse_word(EXAMPLE_WORD, bs23)
     assert len(letters) == 14
@@ -607,6 +664,22 @@ def test_graph_text_round_trip_and_graph_equality():
     relabelled = Edge(e.name, e.src, e.dst, e.alpha + 1, e.beta, e.inv)
     assert g != GbsGraph(g.vertices, (relabelled,) + g.edges[1:])
     assert g != GbsGraph(g.vertices[::-1], g.edges) and g != g.vertices
+    # labels are converted once per distinct text: texts spelled apart but
+    # equal as integers must meet, and a file of all-distinct texts must read
+    spelled = (
+        "vertex a\nvertex b\n"
+        "edge t a b 2 -3 T\nedge T b a -03 +2 t\n"
+        "edge u a b 02 3 U\nedge U b a ٣ 2 u\n"
+    )
+    distinct = "vertex a\n" + "".join(
+        f"edge y{i} a a {2 * i + 1} {2 * i + 2} Y{i}\nedge Y{i} a a {2 * i + 2} {2 * i + 1} y{i}\n"
+        for i in range(500)
+    )
+    for text in (spelled, distinct):
+        g = parse_graph(text)
+        assert g == oracles.parse_graph_lines(text)
+    assert [(e.alpha, e.beta) for e in parse_graph(spelled).edges] == [(2, -3), (-3, 2), (2, 3), (3, 2)]
+    assert {x for e in g.edges for x in (e.alpha, e.beta)} == set(range(1, 1001))
 
 
 TREE_TEXT = _tree_graph_text(random.Random(5), 750)
