@@ -18,7 +18,6 @@ from .arith import solve_congruence
 from .britton import (
     britton_reduce_fast,
     cyclically_reduce,
-    vertex_group_exponent,
     word_problem,
 )
 from .conjugacy import (

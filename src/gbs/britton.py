@@ -281,22 +281,6 @@ def color(f: GFactorization) -> tuple[ColorTable, FWord]:
     return table, word
 
 
-def vertex_group_exponent(f: GFactorization, i: int, j: int) -> Optional[int]:
-    """The integer exponent the slice between i and j contracts to when it
-    lies in the vertex group at its start, else None.  By Britton's lemma
-    that is when the slice reduces to a bare vertex power."""
-    if not 0 <= i <= j <= f.n:
-        raise IndexError(f"interval ({i}, {j}) out of range for n={f.n}")
-    g = f.graph
-    if i == 0:
-        start, k = f.base, f.k0
-    else:
-        name, k = f.steps[i - 1]
-        start = g.by_name[name].dst
-    h = britton_reduce_fast(GFactorization(g, start, k, f.steps[i:j]))
-    return None if h.n else h.k0
-
-
 def britton_reduce_fast(f: GFactorization) -> GFactorization:
     """Britton-reduce in one left-to-right stack pass: an incoming edge that
     is the inverse of the top edge, with beta(top) dividing the top's

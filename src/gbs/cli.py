@@ -12,7 +12,9 @@ answers ``--help`` and a missing or unknown command.  Each input file is read
 in one raw read and decoded as UTF-8.  Its line ends stay as they are: graph
 and presentation files are split with ``str.splitlines`` and words at any
 whitespace, which take CR LF and a lone CR as one line end, as they take LF.
-The cyclic garbage collector is paused while a command runs.
+``wp``, ``reduce`` and ``cyc-reduce`` share one loader, which refuses ``--base``
+without ``--pi1``; one table maps every verdict to its exit code.  The
+cyclic garbage collector is paused while a command runs.
 """
 from __future__ import annotations
 
@@ -59,11 +61,32 @@ def _word_text(arg: str, literal: bool) -> str:
     return arg if literal else _read(arg)
 
 
-def _factorization(arg: str, graph, args) -> graphs.GFactorization:
-    text = _word_text(arg, args.literal)
-    if getattr(args, "pi1", False):
+def _word(args) -> graphs.GFactorization:
+    """The word of ``wp``, ``reduce`` or ``cyc-reduce``; with ``--pi1``, its image."""
+    if args.base is not None and not args.pi1:
+        raise _UsageError("--base needs --pi1")
+    graph = graphs.parse_graph(_read(args.graph))
+    text = _word_text(args.word, args.literal)
+    if args.pi1:
         return graphs.rebase(text, graph, min(graph.vertices) if args.base is None else args.base)
     return graphs.parse_factorization(text, graph)
+
+
+def _monoid_query(args) -> tuple[monoid.MonPresentation, monoid.ExpVec, monoid.ExpVec]:
+    """The presentation and both vectors of ``monoid congruent`` and ``convert``."""
+    pres = monoid.parse_presentation(_read(args.presentation))
+    return pres, monoid.parse_vector(args.e, pres.dim), monoid.parse_vector(args.f, pres.dim)
+
+
+# a verdict missing here raises KeyError: an internal error, never a "no"
+_EXIT = {
+    conjugacy.ConjVerdict.CONJUGATE: EXIT_YES,
+    conjugacy.ConjVerdict.NOT_CONJUGATE: EXIT_NO,
+    conjugacy.ConjVerdict.UNKNOWN: EXIT_UNKNOWN,
+    monoid.Verdict.CONGRUENT: EXIT_YES,
+    monoid.Verdict.NOT_CONGRUENT: EXIT_NO,
+    monoid.Verdict.UNKNOWN: EXIT_UNKNOWN,
+}
 
 
 def _cmd_validate(args) -> int:
@@ -78,8 +101,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_wp(args) -> int:
-    graph = graphs.parse_graph(_read(args.graph))
-    f = _factorization(args.word, graph, args)
+    f = _word(args)
     if not f.is_closed:
         raise graphs.WordError("word is not a closed factorization")
     if britton.word_problem(f):
@@ -90,16 +112,12 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    graph = graphs.parse_graph(_read(args.graph))
-    f = _factorization(args.word, graph, args)
-    print(britton.britton_reduce_fast(f))
+    print(britton.britton_reduce_fast(_word(args)))
     return EXIT_YES
 
 
 def _cmd_cyc_reduce(args) -> int:
-    graph = graphs.parse_graph(_read(args.graph))
-    f = _factorization(args.word, graph, args)
-    print(britton.cyclically_reduce(f))
+    print(britton.cyclically_reduce(_word(args)))
     return EXIT_YES
 
 
@@ -111,31 +129,18 @@ def _cmd_conj(args) -> int:
     print(res.verdict.value)
     if res.verdict is conjugacy.ConjVerdict.CONJUGATE and args.witness:
         print(res.witness)
-    if res.verdict is conjugacy.ConjVerdict.CONJUGATE:
-        return EXIT_YES
-    if res.verdict is conjugacy.ConjVerdict.NOT_CONJUGATE:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return _EXIT[res.verdict]
 
 
 def _cmd_monoid_congruent(args) -> int:
-    pres = monoid.parse_presentation(_read(args.presentation))
-    e = monoid.parse_vector(args.e, pres.dim)
-    f = monoid.parse_vector(args.f, pres.dim)
+    pres, e, f = _monoid_query(args)
     res = monoid.congruent(e, f, pres, bound=args.bound)
     print(res.verdict.value)
-    if res.verdict is monoid.Verdict.CONGRUENT:
-        return EXIT_YES
-    if res.verdict is monoid.Verdict.NOT_CONGRUENT:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return _EXIT[res.verdict]
 
 
 def _cmd_convert(args) -> int:
-    pres = monoid.parse_presentation(_read(args.presentation))
-    e = monoid.parse_vector(args.e, pres.dim)
-    f = monoid.parse_vector(args.f, pres.dim)
-    graph, k, ell = monoid.monoid_to_gbs(pres, e, f)
+    graph, k, ell = monoid.monoid_to_gbs(*_monoid_query(args))
     out = graph.to_text()
     out += f"# query-v: a^{k}\n"
     out += f"# query-w: a^{ell}\n"
@@ -174,22 +179,15 @@ def _build_parser() -> tuple[_Parser, dict[tuple[str, ...], _Parser]]:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_validate)
 
-    p = leaf(sub, "wp", parents=[word_opts, pi1_opts], help="word problem")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_wp)
-
-    p = leaf(sub, "reduce", parents=[word_opts, pi1_opts], help="Britton-reduce")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = leaf(
-        sub, "cyc-reduce", parents=[word_opts, pi1_opts], help="cyclically Britton-reduce"
-    )
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_cyc_reduce)
+    for name, about, func in (
+        ("wp", "word problem", _cmd_wp),
+        ("reduce", "Britton-reduce", _cmd_reduce),
+        ("cyc-reduce", "cyclically Britton-reduce", _cmd_cyc_reduce),
+    ):
+        p = leaf(sub, name, parents=[word_opts, pi1_opts], help=about)
+        p.add_argument("graph")
+        p.add_argument("word")
+        p.set_defaults(func=func)
 
     p = leaf(sub, "conj", parents=[word_opts], help="conjugacy")
     p.add_argument("graph")

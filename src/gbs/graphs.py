@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class GbsError(ValueError):
@@ -70,6 +70,9 @@ class _LabelTable(dict):
 # reserved: prints as the empty word
 _EMPTY_TOKEN = "1"
 
+# a breadth-first search: each vertex reached -> (previous vertex, edge name), the root -> None
+_Tree = dict[str, Optional[tuple[str, str]]]
+
 
 class GbsGraph:
     """Immutable graph: ``vertices`` and ``edges`` in file order, and two
@@ -102,7 +105,7 @@ class GbsGraph:
         return hash((self.vertices, self.edges))
 
     @cached_property
-    def _tree(self) -> dict[str, Optional[tuple[str, str]]]:
+    def _tree(self) -> _Tree:
         """:func:`_search` from the least vertex, run once per graph: the
         one search behind :func:`validate`'s connectivity check and every
         tree path.  Needs a vertex."""
@@ -224,10 +227,6 @@ def validate(graph: GbsGraph) -> list[str]:
     from the least vertex, which the graph keeps for its tree paths.  With
     a valid involution every edge has a reverse, so any root reaches the
     same vertices; with a broken one the verdict can hang on the root.
-
-    Each edge is first tested against all its conditions in one
-    expression; the checks that write the messages run only for an edge
-    that fails it, in a fixed order, so the report is the same either way.
     """
     report: list[str] = []
     vertex_set, by_name = graph.vertex_set, graph.by_name
@@ -241,12 +240,6 @@ def validate(graph: GbsGraph) -> list[str]:
         report.append("vertex and edge ids overlap")
     for e in graph.edges:
         inv = by_name.get(e.inv)
-        if (
-            e.alpha and e.beta and e.src in vertex_set and e.dst in vertex_set
-            and inv is not None and e.inv != e.name and inv.inv == e.name
-            and inv.src == e.dst and inv.dst == e.src and inv.beta == e.alpha
-        ):
-            continue
         if e.alpha == 0 or e.beta == 0:
             report.append(f"edge {e.name}: zero label")
         if e.src not in vertex_set:
@@ -270,13 +263,13 @@ def validate(graph: GbsGraph) -> list[str]:
     return report
 
 
-def _search(graph: GbsGraph, root: str) -> dict[str, Optional[tuple[str, str]]]:
+def _search(graph: GbsGraph, root: str) -> _Tree:
     """Breadth-first search from ``root`` along out-edges in file order,
     read as the :class:`Edge` records of ``graph._out``, so no edge is
     looked up by name.  Maps every vertex reached to the step that first
     reached it, ``(previous vertex, edge name)``, and ``root`` to None."""
     out = graph._out
-    prev: dict[str, Optional[tuple[str, str]]] = {root: None}
+    prev: _Tree = {root: None}
     order = [root]
     for v in order:  # the list grows as the search goes: a FIFO queue
         for e in out.get(v, ()):
@@ -430,17 +423,9 @@ def concat(*parts: GFactorization) -> GFactorization:
     return GFactorization._trusted(first.graph, first.base, k0, tuple(steps))
 
 
-def _tree_paths(
-    graph: GbsGraph, start: Optional[str] = None
-) -> tuple[dict[str, Optional[tuple[str, str]]], Callable[[str], list[str]]]:
-    """The search behind :func:`spanning_tree`, breadth-first from the least
-    vertex (the root), and a function giving the edge names of path(start, v)
-    in that tree, ``start`` defaulting to the root: path(root, start)
-    inverted, then path(root, v), less their common prefix, which is the one
-    reduced path between the two in a tree.  The search is the graph's own
-    (see :attr:`GbsGraph._tree`), shared with :func:`validate`, so it runs
-    once per graph.  The graph is taken as valid (see :func:`validate`)
-    apart from connectivity, which is checked here."""
+def _checked_tree(graph: GbsGraph, start: Optional[str] = None) -> _Tree:
+    """The graph's own search (:attr:`GbsGraph._tree`), after the checks
+    every tree path needs: a known ``start``, a vertex, connectivity."""
     if start is not None and start not in graph.vertex_set:
         raise GraphError(f"unknown vertex {start!r}")
     if not graph.vertices:
@@ -448,28 +433,29 @@ def _tree_paths(
     prev = graph._tree
     if not prev.keys() >= graph.vertex_set:
         raise GraphError("graph is not connected")
-    if start is None:
-        start = min(graph.vertices)
+    return prev
 
-    def from_root(v: str) -> list[str]:
-        if v not in prev:
-            raise GraphError(f"no tree path from {start} to {v}")
-        path = []
-        while prev[v] is not None:
-            v, name = prev[v]
-            path.append(name)
-        return path[::-1]
 
-    up = from_root(start)
+def _root_path(prev: _Tree, v: str) -> list[str]:
+    """Edge names of the tree path from the root to ``v``, reached by ``prev``."""
+    path = []
+    while prev[v] is not None:
+        v, name = prev[v]
+        path.append(name)
+    return path[::-1]
 
-    def path_from_start(v: str) -> list[str]:
-        down = from_root(v)
-        i = 0
-        while i < min(len(up), len(down)) and up[i] == down[i]:
-            i += 1
-        return [graph.by_name[name].inv for name in reversed(up[i:])] + down[i:]
 
-    return prev, path_from_start
+def _path_from(graph: GbsGraph, prev: _Tree, start: str, up: list[str], v: str) -> list[str]:
+    """Edge names of path(start, v) in the tree, given ``up`` = path(root,
+    start): ``up`` inverted, then path(root, v), less their common prefix,
+    which is the one reduced path between the two in a tree."""
+    if v not in prev:
+        raise GraphError(f"no tree path from {start} to {v}")
+    down = _root_path(prev, v)
+    i = 0
+    while i < min(len(up), len(down)) and up[i] == down[i]:
+        i += 1
+    return [graph.by_name[name].inv for name in reversed(up[i:])] + down[i:]
 
 
 def spanning_tree(graph: GbsGraph) -> frozenset:
@@ -477,9 +463,8 @@ def spanning_tree(graph: GbsGraph) -> frozenset:
     least vertex, edges explored in file order.  Contains both directions of
     every selected edge pair.  It is the tree whose paths :func:`tree_path`
     and :func:`rebase` follow."""
-    prev, _ = _tree_paths(graph)
     tree: set[str] = set()
-    for step in prev.values():
+    for step in _checked_tree(graph).values():
         if step is not None:
             tree.add(step[1])
             tree.add(graph.by_name[step[1]].inv)
@@ -489,7 +474,8 @@ def spanning_tree(graph: GbsGraph) -> frozenset:
 def tree_path(graph: GbsGraph, start: str, goal: str) -> tuple[str, ...]:
     """Edge names of the unique reduced path from start to goal inside the
     :func:`spanning_tree`, found by that tree's own search."""
-    return tuple(_tree_paths(graph, start)[1](goal))
+    prev = _checked_tree(graph, start)
+    return tuple(_path_from(graph, prev, start, _root_path(prev, start), goal))
 
 
 def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
@@ -506,7 +492,8 @@ def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
     is its inverse edges reversed.  The steps are written directly, as
     :func:`parse_factorization` would make them from that word's text."""
     words = [parse_factorization(tok, graph) for tok in text.split() if tok != _EMPTY_TOKEN]
-    _, path_from_base = _tree_paths(graph, base)
+    prev = _checked_tree(graph, base)
+    up = _root_path(prev, base)
     by_name = graph.by_name
     paths: dict[str, tuple[list, list]] = {}
     steps: list = [(None, 0)]  # the head holds the power at base before any edge
@@ -514,7 +501,7 @@ def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
         src, dst = f.base, f.end
         for v in (src, dst):
             if v not in paths:
-                there = path_from_base(v)
+                there = _path_from(graph, prev, base, up, v)
                 paths[v] = (
                     [(name, 0) for name in there],
                     [(by_name[name].inv, 0) for name in reversed(there)],

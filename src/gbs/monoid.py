@@ -19,7 +19,7 @@ from operator import add, ge, sub
 from typing import Optional, Sequence
 
 from . import arith
-from .graphs import GbsGraph, GbsError, InternalError, orientation
+from .graphs import Edge, GbsGraph, GbsError, InternalError, orientation
 
 ExpVec = tuple  # tuple[int, ...]
 
@@ -417,8 +417,6 @@ def monoid_to_gbs(
     primes encode the coordinates; relation sides become the alpha and beta
     of one loop pair each.
     """
-    from .graphs import Edge  # local import to keep module tops light
-
     m = pres.dim
     for vec in [e, f, *(v for r in pres.relations for v in r)]:
         if len(vec) != m:

@@ -12,7 +12,6 @@ from gbs.britton import (
     k_interval,
     rho,
     sim_c,
-    vertex_group_exponent,
     word_problem,
 )
 from gbs.conjugacy import verify_conjugator
@@ -181,6 +180,19 @@ def test_word_problem_examples(bs23, example_fact):
 def test_word_problem_rejects_open_words(amalgam):
     with pytest.raises(WordError):
         word_problem(fact(amalgam, "t"))
+
+
+def vertex_group_exponent(f, i, j):
+    """The exponent the slice between i and j contracts to when it lies in
+    the vertex group at its start, else None: by Britton's lemma, when the
+    stack reducer leaves a bare vertex power."""
+    if i == 0:
+        start, k = f.base, f.k0
+    else:
+        name, k = f.steps[i - 1]
+        start = f.graph.by_name[name].dst
+    h = britton_reduce_fast(GFactorization(f.graph, start, k, f.steps[i:j]))
+    return None if h.n else h.k0
 
 
 def test_vertex_group_exponent(example_fact):

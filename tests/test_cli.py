@@ -113,6 +113,16 @@ def test_pi1_empty_base_is_an_unknown_vertex(capsys, tmp_path):
     assert (code, out, err) == (3, "", "error: unknown vertex ''\n")
 
 
+@pytest.mark.parametrize("command", ["wp", "reduce", "cyc-reduce"])
+@pytest.mark.parametrize("base", ["zz", "a"])
+def test_base_without_pi1_is_a_usage_error(capsys, tmp_path, command, base):
+    # --base is read only with --pi1, so alone it would be ignored silently
+    p = tmp_path / "g.graph"
+    p.write_text(AMALGAM)
+    code, out, err = run(capsys, command, "--literal", "--base", base, str(p), "t b^3 T")
+    assert (code, out, err) == (3, "", "usage error: --base needs --pi1\n")
+
+
 def test_reduce_prints_normal_form(capsys, bs_path):
     code, out, _ = run(capsys, "reduce", "--literal", bs_path, EXAMPLE_WORD)
     assert code == 0 and out.strip() == "a^15"
@@ -269,6 +279,25 @@ def test_unexpected_exception_is_an_internal_error(capsys, bs_path, monkeypatch)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and "broken reducer" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("conjugacy", "conjugate", ["conj", "--literal", "{bs}", "a", "a"]),
+    ("monoid", "congruent", ["monoid", "congruent", "{mon}", "1,0", "0,1"]),
+])
+def test_a_verdict_without_an_exit_code_is_an_internal_error(
+    capsys, bs_path, tmp_path, monkeypatch, module, name, argv
+):
+    # a verdict the exit-code table does not know is a bug, never a "no"
+    import enum
+    from types import SimpleNamespace
+    mon = tmp_path / "p.mon"
+    mon.write_text("dim 2\nrel 1,0 ~ 0,1\n")
+    bogus = SimpleNamespace(verdict=enum.Enum("Bogus", {"MAYBE": "maybe"}).MAYBE, witness=None)
+    monkeypatch.setattr(getattr(cli, module), name, lambda *args, **kwargs: bogus)
+    code, out, err = run(capsys, *(a.format(bs=bs_path, mon=mon) for a in argv))
+    assert (code, out) == (3, "maybe\n")
+    assert err.startswith("internal error: KeyError(") and err.count("\n") == 1
 
 
 def test_exponent_longer_than_the_default_digit_limit_is_printed(capsys, tmp_path):

@@ -155,8 +155,7 @@ def _mutated(g, rng, kind):
 
 
 def test_validate_agrees_with_the_reference_checks():
-    # the combined test per edge may skip the message-writing checks only
-    # where they would write nothing: every report is the reference's, in order
+    # every report is the reference's, in order
     rng = random.Random(19)
     graphs_seen = [parse_graph(TREE_TEXT)]
     for _ in range(300):
