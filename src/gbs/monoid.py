@@ -9,13 +9,20 @@ chain of such moves links them.  Oriented from the larger side to the
 smaller in a graded order, the relations form a rewriting system, and
 completing it (Buchberger's algorithm restricted to binomials, after
 Ballantyne and Lankford) leaves every class one normal form.
+
+Every move adds ``s - r`` or subtracts it, so congruent vectors differ by an
+element of the relation lattice L, the integer span of these differences.
+The completion has no polynomial bound, but a pair whose difference lies
+outside L is told apart by one integer elimination, before any completion.
 """
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from operator import add, ge, sub
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, ge, mul, sub
 from typing import Optional, Sequence
 
 from . import arith
@@ -42,6 +49,9 @@ class MonPresentation:
     dim: int
     relations: tuple[tuple[ExpVec, ExpVec], ...]
     units: int = 0
+    # s - r for each relation (r, s): a step r->s adds it to a vector, a
+    # step s->r subtracts it
+    deltas: tuple[ExpVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.units <= self.dim:
@@ -53,6 +63,96 @@ class MonPresentation:
                 raise GbsError("relation entries must be naturals")
             if self.units and sum(r[-self.units:]) != sum(s[-self.units:]):
                 raise GbsError("relation sides hold different unit counts")
+        object.__setattr__(self, "deltas", tuple([tuple(map(sub, s, r)) for r, s in self.relations]))
+
+    @cached_property
+    def _lattice(self) -> tuple[tuple[int, ExpVec], ...]:
+        """The Hermite basis of the relation lattice L, the integer span of
+        :attr:`deltas`, as ``(column, row)`` pairs with descending columns:
+        each row is positive in its column, zero in every column after it,
+        and below the entry of every later row in that row's column.
+
+        Each difference is reduced from its last nonzero column down.  It
+        becomes the pivot of the first column that has none, negated if its
+        entry there is negative.  Otherwise the floor multiple of the pivot
+        is subtracted, and a remainder left in the column replaces the pivot
+        and the difference by their extended-gcd combination, the column's
+        new pivot, and a row that vanishes in the column.  Every step is
+        unimodular, so the pivots and what is left span L.  Each new pivot
+        is settled by :func:`_settle`, which keeps the pivots the Hermite
+        normal form of the differences seen so far, so their entries never
+        grow beyond it.  An encoding's unit slots (:class:`MonoidEncoding`)
+        come last and hold only 0 and +-1 in every difference, so they
+        pivot on 1 first and need no gcd."""
+        pivots: dict[int, ExpVec] = {}
+        order: list[int] = []  # the columns of pivots, descending
+        columns = range(self.dim - 1, -1, -1)
+        for row in dict.fromkeys(self.deltas):
+            for c in columns:
+                b = row[c]
+                if not b:
+                    continue
+                pivot = pivots.get(c)
+                if pivot is None:
+                    _settle(pivots, order, c, row if b > 0 else tuple([-x for x in row]))
+                    break
+                a = pivot[c]
+                q, b = divmod(b, a)
+                if q:
+                    row = tuple([y - q * p for p, y in zip(pivot, row)])
+                if b:  # 0 < b < a
+                    g = math.gcd(a, b)
+                    a, b = a // g, b // g
+                    x = pow(a, -1, b)  # x*a + y*b = 1
+                    y = (1 - x * a) // b
+                    _settle(pivots, order, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
+                    row = tuple([b * u - a * v for u, v in zip(pivot, row)])
+        return tuple([(c, pivots[c]) for c in order])
+
+    def in_lattice(self, t: Sequence[int]) -> bool:
+        """Whether the integer vector t lies in the relation lattice L: t is
+        reduced by each row of :attr:`_lattice` in turn, which clears the
+        row's column for good, and must reach zero."""
+        for c, row in self._lattice:
+            if t[c]:
+                q, rem = divmod(t[c], row[c])
+                if rem:
+                    return False
+                t = tuple([x - q * y for x, y in zip(t, row)])
+        return not any(t)
+
+
+def _settle(pivots: dict[int, ExpVec], order: list[int], c: int, row: ExpVec) -> None:
+    """Make row, positive in column c and zero after it, the pivot of c,
+    keeping every pivot reduced by the later ones (the Hermite condition):
+    the row is reduced by the pivots of the columns below c, and a pivot of
+    a column above c whose entry in c leaves the range of the new pivot's
+    entry is reduced by it and then by those below.  ``order`` lists the
+    columns of ``pivots``, descending, and gains c."""
+    i = 0
+    while i < len(order) and order[i] > c:
+        i += 1
+    if c not in pivots:
+        order.insert(i, c)
+    lower = order[i + 1:]
+    pivots[c] = row = _reduced(row, pivots, lower)
+    a = row[c]
+    for h in order[:i]:
+        higher = pivots[h]
+        q = higher[c] // a
+        if q:
+            pivots[h] = _reduced(tuple([y - q * p for p, y in zip(row, higher)]), pivots, lower)
+
+
+def _reduced(row: ExpVec, pivots: dict[int, ExpVec], columns: Sequence[int]) -> ExpVec:
+    """Row less the floor multiple of each pivot of the given columns, in
+    their order (descending), that leaves its entry in the pivot's range."""
+    for d in columns:
+        pivot = pivots[d]
+        q = row[d] // pivot[d]
+        if q:
+            row = tuple([y - q * p for p, y in zip(pivot, row)])
+    return row
 
 
 @dataclass(frozen=True)
@@ -168,7 +268,8 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
                 rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
                 eqs.append((lhs, rhs, ((k, 1), *steps)))
         for lhs, (_, k) in rules.items():
-            if k == new or not any(x and y for x, y in zip(lhs, u)):  # k == new: u itself
+            # k == new: u itself; the left sides share a coordinate where x * y > 0
+            if k == new or not any(map(mul, lhs, u)):
                 continue
             lcm = tuple(map(max, lhs, u))
             if units and sum(lcm[-units:]) > degree:
@@ -194,10 +295,9 @@ def _cut_loops(start: ExpVec, path: Sequence[PathStep], pres: MonPresentation) -
     trail = [start]
     out: list[PathStep] = []
     v = start
+    deltas = pres.deltas
     for idx, d in path:
-        r, s = pres.relations[idx]
-        sub, add = (r, s) if d > 0 else (s, r)
-        v = tuple(x - y + z for x, y, z in zip(v, sub, add))
+        v = tuple(map(add if d > 0 else sub, v, deltas[idx]))
         if v in at:
             keep = at[v]
             for w in trail[keep + 1:]:
@@ -242,8 +342,11 @@ def congruent(
 ) -> CongResult:
     """Decide whether e and f are congruent under the presentation.
 
-    A vector that no relation side fits is alone in its class.  Otherwise
-    the presentation is completed (:func:`_complete`) and e and f are
+    A vector that no relation side fits is alone in its class.  A pair
+    whose difference ``f - e`` lies outside the relation lattice
+    (:meth:`MonPresentation.in_lattice`) is NOT_CONGRUENT at any bound,
+    with the reason ``outside the relation lattice``.  Otherwise the
+    presentation is completed (:func:`_complete`) and e and f are
     rewritten to their normal forms.  Equal normal forms give CONGRUENT
     with a relation path from e to f, replayed before it is returned;
     distinct ones give NOT_CONGRUENT.  ``bound`` caps the coordinates of
@@ -265,6 +368,8 @@ def congruent(
     for v in (e, f):
         if not any(all(map(ge, v, side)) for rel in pres.relations for side in rel):
             return CongResult(Verdict.NOT_CONGRUENT, reason="no relation applies")
+    if not pres.in_lattice(tuple(map(sub, f, e))):
+        return CongResult(Verdict.NOT_CONGRUENT, reason="outside the relation lattice")
     eqs, steps, stopped = _complete(e, f, pres, bound)
     if steps is None:
         if stopped:
@@ -326,6 +431,16 @@ def _split(k: int, basis: tuple[int, ...], vertices: tuple[str, ...], vertex: st
     return residual, (int(k < 0),) + exps + tuple(int(v == vertex) for v in vertices)
 
 
+def split_power(graph: GbsGraph, basis: tuple[int, ...], vertex: str, k: int) -> tuple[int, ExpVec]:
+    """The residual of a nonzero vertex power's exponent k over the basis,
+    and its vector: the sign bit, the exponents of k over the basis, then
+    the unit vector of the vertex.  Two powers with different residuals are
+    never conjugate."""
+    if vertex not in graph.vertex_set:
+        raise GbsError(f"unknown vertex {vertex!r}")
+    return _split(k, basis, graph.vertices, vertex)
+
+
 @dataclass(frozen=True)
 class MonoidEncoding:
     """Elliptic conjugacy of a graph of groups as a monoid congruence.
@@ -352,18 +467,9 @@ class MonoidEncoding:
     vertices: tuple[str, ...]
     step_letters: tuple[Optional[str], ...]
 
-    def split(self, vertex: str, k: int) -> tuple[int, ExpVec]:
-        """The residual of a nonzero vertex power's exponent k and its
-        vector: the sign bit, the exponents of k over the basis, then the
-        unit vector of the vertex.  Two powers with different residuals are
-        never conjugate."""
-        if vertex not in self.vertices:
-            raise GbsError(f"unknown vertex {vertex!r}")
-        return _split(k, self.basis, self.vertices, vertex)
-
     def encode(self, vertex: str, k: int) -> ExpVec:
-        """The vector of :meth:`split`, without the residual."""
-        return self.split(vertex, k)[1]
+        """The vector of :func:`split_power`, without the residual."""
+        return split_power(self.graph, self.basis, vertex, k)[1]
 
     def conjugator_path(self, path: Sequence[PathStep]) -> tuple[str, ...]:
         """Edge names of a conjugator for a relation path: a step r->s
@@ -377,11 +483,12 @@ class MonoidEncoding:
         )
 
 
-def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
+def gbs_to_monoid(graph: GbsGraph, basis: tuple[int, ...]) -> MonoidEncoding:
     """Derive the congruence presentation whose word problem mirrors
     elliptic conjugacy in the graph of groups.  The graph is taken as valid
-    (see ``graphs.validate``), as ``graphs.parse_graph`` returns it."""
-    basis = arith.coprime_basis(e.alpha for e in graph.edges)
+    (see ``graphs.validate``), as ``graphs.parse_graph`` returns it, and
+    ``basis`` is the coprime basis of its labels
+    (:func:`arith.coprime_basis`)."""
     vertices = graph.vertices
     m = 1 + len(basis)  # the sign slot, then the basis
     relations: list[tuple[ExpVec, ExpVec]] = []

@@ -1,6 +1,6 @@
 import pytest
 
-from gbs import graphs
+from gbs import arith, graphs, monoid
 from oracles import parse_word, to_factorization
 
 BS23 = "bs 2 3"
@@ -51,3 +51,27 @@ def example_fact(bs23):
 
 def fact(graph, text):
     return graphs.parse_factorization(text, graph)
+
+
+def encoding(graph):
+    """The monoid encoding of a graph over the coprime basis of its labels."""
+    return monoid.gbs_to_monoid(graph, arith.coprime_basis(e.alpha for e in graph.edges))
+
+
+LATTICE_NEGATIVE = "outside the relation lattice"
+
+
+def without_the_lattice_test(monkeypatch):
+    """From here on, every pair that passes the cheap checks goes to the
+    completion, as before the lattice test existed."""
+    monkeypatch.setattr(monoid.MonPresentation, "in_lattice", lambda self, t: True)
+
+
+def keeps_its_decision(filtered, unfiltered) -> bool:
+    """Whether a result of ``congruent`` or ``conj_elliptic`` keeps what the
+    completion alone decides: a lattice negative where the completion says
+    no or stops at its bound, else the very same result, path, witness and
+    reason included."""
+    if filtered.reason == LATTICE_NEGATIVE:
+        return unfiltered.verdict.value in ("not-congruent", "not-conjugate", "unknown")
+    return filtered == unfiltered

@@ -5,6 +5,7 @@ reproducible from a single seed.
 """
 from __future__ import annotations
 
+import math
 import random
 import string
 from typing import Optional, Sequence
@@ -45,6 +46,26 @@ def random_graph(
         edges.append(Edge(f"y{t}", u, v, a, b, f"Y{t}"))
         edges.append(Edge(f"Y{t}", v, u, b, a, f"y{t}"))
     return GbsGraph(vertices, tuple(edges))
+
+
+def label_power(rng: random.Random, graph: GbsGraph) -> int:
+    """Plus or minus a product of up to 5 of the graph's labels: an
+    exponent whose residual over the labels' coprime basis is 1, so the
+    residual check leaves a pair of them to the monoid."""
+    labels = [abs(e.alpha) for e in graph.edges]
+    sign = rng.choice((-1, 1))
+    return sign * math.prod(rng.choice(labels) for _ in range(rng.randint(0, 5)))
+
+
+def label_built_queries(rng: random.Random, graphs: int):
+    """``(graph, a, k, b, ell)`` for elliptic conjugacy: ``graphs`` graphs
+    of up to 6 vertices, 10 edge pairs and labels up to 12, each with 5
+    pairs of vertex powers whose exponents come from :func:`label_power`."""
+    for _ in range(graphs):
+        graph = random_graph(rng, 6, 10, 12)
+        for _ in range(5):
+            a, b = rng.choice(graph.vertices), rng.choice(graph.vertices)
+            yield graph, a, label_power(rng, graph), b, label_power(rng, graph)
 
 
 def random_closed_factorization(

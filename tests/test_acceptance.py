@@ -50,7 +50,7 @@ from gbs.monoid import (
     replay_path,
 )
 import gen
-from conftest import EXAMPLE_WORD
+from conftest import EXAMPLE_WORD, LATTICE_NEGATIVE, keeps_its_decision, without_the_lattice_test
 from oracles import (
     britton_reduce_naive,
     conj_brute_status,
@@ -273,14 +273,32 @@ def _random_small_presentation(rng, dim):
     return MonPresentation(dim, tuple(rels))
 
 
-def test_criterion_8_monoid_gbs_round_trips():
+def _criterion_8_corpora():
+    """Criterion 8's two corpora: 200 ``(presentation, e, f)`` and 200
+    ``(graph, a, k, b, ell)`` vertex-power pairs, drawn from one seed."""
     rng = random.Random(0x0886)
-    both_decided = 0
+    presentations = []
     for _ in range(200):
         dim = rng.randint(1, 3)
         pres = _random_small_presentation(rng, dim)
         e = tuple(rng.randint(0, 2) for _ in range(dim))
         f = tuple(rng.randint(0, 2) for _ in range(dim))
+        presentations.append((pres, e, f))
+    powers = []
+    for _ in range(200):
+        g = gen.random_graph(rng)
+        a = rng.choice(g.vertices)
+        b = rng.choice(g.vertices)
+        k = rng.randint(-60, 60)
+        ell = rng.randint(-60, 60)
+        powers.append((g, a, k, b, ell))
+    return presentations, powers
+
+
+def test_criterion_8_monoid_gbs_round_trips():
+    presentations, powers = _criterion_8_corpora()
+    both_decided = 0
+    for pres, e, f in presentations:
         graph, k, ell = monoid_to_gbs(pres, e, f)
         mon = congruent(e, f, pres)
         conj = conjugate(
@@ -295,12 +313,7 @@ def test_criterion_8_monoid_gbs_round_trips():
     assert both_decided == 200
 
     brute_decided = 0
-    for _ in range(200):
-        g = gen.random_graph(rng)
-        a = rng.choice(g.vertices)
-        b = rng.choice(g.vertices)
-        k = rng.randint(-60, 60)
-        ell = rng.randint(-60, 60)
+    for g, a, k, b, ell in powers:
         res = conj_elliptic(a, k, b, ell, g)
         va = GFactorization(g, a, k, ())
         wb = GFactorization(g, b, ell, ())
@@ -317,6 +330,32 @@ def test_criterion_8_monoid_gbs_round_trips():
     assert brute_decided > 100
     report(8, f"round trips: {both_decided} presentation/graph pairs and "
               f"{brute_decided} elliptic pairs agree with the oracles")
+
+
+def test_criterion_8_corpora_keep_their_decisions_without_the_lattice_test(monkeypatch):
+    # the lattice test decides negatives before the completion; with it
+    # switched off, the completion alone must give every other result,
+    # witnesses included, byte for byte, on criterion 8's corpora and on
+    # 30 graphs of the label-built corpus, whose exponents all pass the
+    # residual check
+    presentations, powers = _criterion_8_corpora()
+    powers += gen.label_built_queries(random.Random(10), 30)
+
+    def decide():
+        out = []
+        for pres, e, f in presentations:
+            graph, k, ell = monoid_to_gbs(pres, e, f)
+            out += [congruent(e, f, pres), conj_elliptic("a", k, "a", ell, graph)]
+        for g, a, k, b, ell in powers:
+            out += [conj_elliptic(a, k, b, ell, g, bound) for bound in (None, 2)]
+        return out
+
+    filtered = decide()
+    without_the_lattice_test(monkeypatch)
+    for query, (res, alone) in enumerate(zip(filtered, decide())):
+        assert keeps_its_decision(res, alone), query
+    opened = sum(res.reason == LATTICE_NEGATIVE for res in filtered)
+    assert opened > 250, opened
 
 
 def test_criterion_9_scale_and_memory():

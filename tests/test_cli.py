@@ -236,6 +236,39 @@ def test_monoid_congruent_unknown(capsys, tmp_path):
     assert code == 0 and out.strip() == "congruent"
 
 
+def test_a_pair_outside_the_relation_lattice_is_decided_at_any_bound(capsys, tmp_path):
+    # 2,1 - 1,1 = 1,0 is no integer combination of -2,2 and 2,-1: no
+    # completion is needed, so a cap that stops it cannot leave the pair open
+    pres = tmp_path / "p.mon"
+    pres.write_text("dim 2\nrel 2,0 ~ 0,2\nrel 1,1 ~ 3,0\n")
+    for bound in ("0", "1"):
+        code, out, _ = run(capsys, "monoid", "congruent", "--bound", bound, str(pres), "2,1", "1,1")
+        assert (code, out) == (1, "not-congruent\n")
+    # the same on the graph of a normalized presentation: 12 and 4 differ by
+    # 3 to the power 1, and every relation changes the exponents of 2 and 3
+    # by opposite amounts
+    pres.write_text("dim 2\nrel 0,2 ~ 2,0\nrel 1,2 ~ 2,1\n")
+    code, out, _ = run(capsys, "convert", "monoid-to-gbs", str(pres), "2,1", "2,0")
+    assert code == 0 and out.endswith("# query-v: a^12\n# query-w: a^4\n")
+    graph = tmp_path / "g.graph"
+    graph.write_text(out)
+    code, out, _ = run(capsys, "conj", "--literal", "--bound", "1", str(graph), "a^12", "a^4")
+    assert (code, out) == (1, "not-conjugate\n")
+
+
+def test_a_wrong_identity_witness_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # 1 at a and 1 at b are conjugate by a path from b to a; a path that
+    # ends anywhere else fails verification and is never printed
+    from gbs import conjugacy
+
+    p = tmp_path / "g.graph"
+    p.write_text(AMALGAM)
+    monkeypatch.setattr(conjugacy, "tree_path", lambda graph, start, end: ())
+    code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^0", "b^0")
+    assert (code, out) == (3, "")
+    assert err == "internal error: elliptic conjugator failed verification\n"
+
+
 def test_convert_emits_parseable_graph(capsys, tmp_path):
     pres = tmp_path / "p.mon"
     pres.write_text("dim 2\nrel 2,0 ~ 0,1\n")

@@ -436,9 +436,21 @@ def test_conj_elliptic_examples(bs23):
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
 
 
+def test_the_identity_witness_is_verified(amalgam, monkeypatch):
+    # the tree path from b to a conjugates 1 at a to 1 at b; one that ends
+    # at b instead is a bug, never a witness
+    monkeypatch.setattr(conjugacy, "tree_path", lambda graph, start, end: ())
+    with pytest.raises(InternalError):
+        conj_elliptic("a", 0, "b", 0, amalgam)
+    with pytest.raises(InternalError):
+        conjugate(fact(amalgam, "a^0"), fact(amalgam, "b^0"))
+
+
 def test_conj_elliptic_rejects_unknown_vertex(bs23):
-    with pytest.raises(GbsError):
-        conj_elliptic("nope", 2, "a", 2, bs23)
+    # on either side, and before the residuals (1 and 3 here) are compared
+    for a, k, b, ell in (("nope", 2, "a", 2), ("a", 2, "nope", 2), ("a", 2, "nope", 6)):
+        with pytest.raises(GbsError, match="unknown vertex 'nope'"):
+            conj_elliptic(a, k, b, ell, bs23)
 
 
 def test_conj_elliptic_across_vertices(amalgam):

@@ -14,11 +14,11 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
-    gbs_to_monoid,
     monoid_to_gbs,
     replay_path,
 )
 import gen
+from conftest import encoding
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,7 +70,7 @@ def test_completion_matches_groebner_on_graph_encodings():
     verdicts = []
     for _ in range(60):
         graph = gen.random_graph(rng)
-        enc = gbs_to_monoid(graph)
+        enc = encoding(graph)
         ideal = Ideal(enc.presentation)
         for _ in range(3):
             a, b = rng.choice(graph.vertices), rng.choice(graph.vertices)
@@ -89,11 +89,11 @@ def test_verdicts_that_were_unknown():
     graph = parse_graph(
         "vertex a\nedge y a a 4 2 Y\nedge Y a a 2 4 y\nedge z a a 9 3 Z\nedge Z a a 3 9 z\n"
     )
-    enc = gbs_to_monoid(graph)
+    enc = encoding(graph)
     e, f = enc.encode("a", 6), enc.encode("a", 2)
     assert _check(enc.presentation, Ideal(enc.presentation), e, f) is Verdict.NOT_CONGRUENT
     # a converted presentation goes through the same check
     graph, k, ell = monoid_to_gbs(pres, (1, 1), (1, 0))
-    enc = gbs_to_monoid(graph)
+    enc = encoding(graph)
     e, f = enc.encode("a", k), enc.encode("a", ell)
     assert _check(enc.presentation, Ideal(enc.presentation), e, f) is Verdict.NOT_CONGRUENT

@@ -1,0 +1,75 @@
+"""Growth gates: each counts deterministic work with a ``monkeypatch``
+wrapper and asserts the count, never a time.  The whole module stays under
+five seconds.
+"""
+import random
+
+from gbs import arith, monoid
+from gbs.conjugacy import conj_elliptic
+from gbs.graphs import Edge, GbsGraph
+from gbs.monoid import congruent
+import gen
+from conftest import LATTICE_NEGATIVE
+
+
+def _counting_completions(monkeypatch) -> list:
+    calls = []
+    complete = monoid._complete
+
+    def counted(e, f, pres, bound):
+        calls.append((e, f))
+        return complete(e, f, pres, bound)
+
+    monkeypatch.setattr(monoid, "_complete", counted)
+    return calls
+
+
+def test_a_lattice_negative_never_enters_the_completion(monkeypatch):
+    # no query is completed twice, and the label-built exponents leave
+    # plenty of pairs to the completion as well
+    calls = _counting_completions(monkeypatch)
+    lattice_negatives = completed = 0
+    for g, a, k, b, ell in gen.label_built_queries(random.Random(10), 60):
+        for bound in (None, 2):
+            before = len(calls)
+            res = conj_elliptic(a, k, b, ell, g, bound)
+            entered = len(calls) - before
+            assert entered <= (res.reason != LATTICE_NEGATIVE), (g, a, k, b, ell, bound)
+            lattice_negatives += res.reason == LATTICE_NEGATIVE
+            completed += entered
+    assert lattice_negatives > 300 and completed > 150, (lattice_negatives, completed)
+
+
+def test_a_pair_outside_the_lattice_is_not_completed_at_any_bound(monkeypatch):
+    calls = _counting_completions(monkeypatch)
+    pres = monoid.MonPresentation(2, (((2, 0), (0, 2)), ((1, 1), (3, 0))))
+    for bound in (None, 0, 1, 30):
+        assert congruent((2, 1), (1, 1), pres, bound).reason == LATTICE_NEGATIVE
+    assert calls == []
+    assert congruent((2, 1), (0, 3), pres).verdict is monoid.Verdict.CONGRUENT
+    assert calls == [((2, 1), (0, 3))]
+
+
+def _cycle_with_chords(rng, vertices: int, chords: int) -> GbsGraph:
+    """A cycle through every vertex plus random extra edge pairs, labels
+    up to 30 in absolute value."""
+    vs = tuple(f"v{i}" for i in range(vertices))
+    ends = [(vs[i], vs[(i + 1) % vertices]) for i in range(vertices)]
+    ends += [(rng.choice(vs), rng.choice(vs)) for _ in range(chords)]
+    edges = []
+    for t, (u, v) in enumerate(ends):
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(2))
+        edges += [Edge(f"y{t}", u, v, a, b, f"Y{t}"), Edge(f"Y{t}", v, u, b, a, f"y{t}")]
+    return GbsGraph(vs, tuple(edges))
+
+
+def test_the_lattice_basis_keeps_small_entries_on_graphs_with_many_cycles():
+    # an echelon form that never reduces above its pivots reaches 8 and 20
+    # digits on these two graphs; the Hermite basis stays within 3
+    for vertices, chords in ((50, 50), (100, 25)):
+        graph = _cycle_with_chords(random.Random(vertices), vertices, chords)
+        basis = arith.coprime_basis(e.alpha for e in graph.edges)
+        lattice = monoid.gbs_to_monoid(graph, basis).presentation._lattice
+        assert len(lattice) >= vertices - 1
+        largest = max(abs(x) for _, row in lattice for x in row)
+        assert largest < 1000, (vertices, chords, largest)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,13 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
-    gbs_to_monoid,
     monoid_to_gbs,
     parse_presentation,
     parse_vector,
     replay_path,
 )
 import gen
+from conftest import LATTICE_NEGATIVE, encoding, keeps_its_decision, without_the_lattice_test
 
 SWAP = MonPresentation(2, (((1, 0), (0, 1)),))
 
@@ -91,15 +92,20 @@ def test_unknown_honest_third_verdict():
         assert replay_path((0, 1), res.path, CAPPED) == (1, 0)
 
 
-def test_bounded_verdicts_agree_with_the_unbounded_one():
-    # a bound may leave a query open, but a verdict it gives is the true one
+def _bounded_corpus():
+    """1,500 small presentations, each with one pair of vectors."""
     rng = random.Random(1606)
-    decided = 0
     for _ in range(1500):
         dim = rng.randint(1, 3)
         vec = lambda top: tuple(rng.randint(0, top) for _ in range(dim))  # noqa: E731
         pres = MonPresentation(dim, tuple((vec(3), vec(3)) for _ in range(rng.randint(1, 4))))
-        e, f = vec(4), vec(4)
+        yield pres, vec(4), vec(4)
+
+
+def test_bounded_verdicts_agree_with_the_unbounded_one():
+    # a bound may leave a query open, but a verdict it gives is the true one
+    decided = 0
+    for pres, e, f in _bounded_corpus():
         truth = congruent(e, f, pres).verdict
         assert truth is not Verdict.UNKNOWN
         for bound in range(7):
@@ -108,6 +114,66 @@ def test_bounded_verdicts_agree_with_the_unbounded_one():
                 assert verdict is truth, (pres, e, f, bound)
                 decided += 1
     assert decided > 8000
+
+
+def test_the_lattice_test_keeps_every_decision_of_the_completion(monkeypatch):
+    # the lattice test only answers no, and only where the completion says
+    # no or stops at its bound; every other result, paths included, is the
+    # completion's own
+    queries = [(pres, e, f, bound) for pres, e, f in _bounded_corpus() for bound in (None, 0, 1, 3)]
+    filtered = [congruent(e, f, pres, bound) for pres, e, f, bound in queries]
+    without_the_lattice_test(monkeypatch)
+    for query, res in zip(queries, filtered):
+        pres, e, f, bound = query
+        assert keeps_its_decision(res, congruent(e, f, pres, bound)), query
+    opened = sum(res.reason == LATTICE_NEGATIVE for res in filtered)
+    assert opened > 1000, opened
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals, by Gaussian elimination on fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows[rank:] if row[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for row in rows[rank + 1:]:
+            q = row[c] / pivot[c]
+            row[:] = [x - q * y for x, y in zip(row, pivot)]
+        rank += 1
+    return rank
+
+
+def test_every_relation_lies_in_its_lattice():
+    # a lattice that left relation j out would answer no for its own two
+    # sides whenever s - r is independent of the other differences
+    rng = random.Random(0x5E1F)
+    independent = [0] * 5  # by the index of the relation
+    for _ in range(300):
+        count = rng.randint(1, 5)
+        dim = rng.randint(max(2, count), 6)
+        vec = lambda: tuple(rng.randint(0, 3) for _ in range(dim))  # noqa: E731
+        rels = tuple((vec(), vec()) for _ in range(count))
+        pres = MonPresentation(dim, rels)
+        for j, (r, s) in enumerate(rels):
+            assert pres.in_lattice(pres.deltas[j]), (pres, j)
+            assert congruent(r, s, pres).verdict is Verdict.CONGRUENT, (pres, j)
+            others = pres.deltas[:j] + pres.deltas[j + 1:]
+            independent[j] += _rank(others + (pres.deltas[j],)) > _rank(others)
+    assert min(independent) > 40, independent
+
+
+def test_a_pair_outside_the_relation_lattice_is_decided_at_every_bound():
+    # (2, 1) - (1, 1) = (1, 0) is no integer combination of (-2, 2) and
+    # (2, -1); the completion alone stops at bound 1 without an answer
+    pres = MonPresentation(2, (((2, 0), (0, 2)), ((1, 1), (3, 0))))
+    for bound in (None, 0, 1, 5):
+        res = congruent((2, 1), (1, 1), pres, bound)
+        assert (res.verdict, res.reason) == (Verdict.NOT_CONGRUENT, LATTICE_NEGATIVE)
+    assert not pres.in_lattice((1, 0)) and pres.in_lattice((2, 0))
 
 
 def test_capped_pairs_of_deleted_rules_leave_nothing_open():
@@ -178,7 +244,7 @@ def test_translation_invariance_sample():
 
 
 def test_gbs_to_monoid_bs23(bs23):
-    enc = gbs_to_monoid(bs23)
+    enc = encoding(bs23)
     assert enc.basis == (2, 3)  # after the sign slot
     assert enc.presentation.dim == 4
     assert enc.presentation.relations == (
@@ -191,7 +257,7 @@ def test_gbs_to_monoid_bs23(bs23):
 
 
 def test_gbs_monoid_queries(bs23):
-    enc = gbs_to_monoid(bs23)
+    enc = encoding(bs23)
     res = congruent(enc.encode("a", 12), enc.encode("a", 18), enc.presentation)
     assert res.verdict is Verdict.CONGRUENT
     res = congruent(enc.encode("a", 2), enc.encode("a", -2), enc.presentation)
