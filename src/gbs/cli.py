@@ -13,8 +13,9 @@ in one raw read and decoded as UTF-8.  Its line ends stay as they are: graph
 and presentation files are split with ``str.splitlines`` and words at any
 whitespace, which take CR LF and a lone CR as one line end, as they take LF.
 ``wp``, ``reduce`` and ``cyc-reduce`` share one loader, which refuses ``--base``
-without ``--pi1``; one table maps every verdict to its exit code.  The
-cyclic garbage collector is paused while a command runs.
+without ``--pi1``; one table maps every verdict to its exit code.  While a
+command runs, the cyclic garbage collector is paused and int-string
+conversions take any number of digits; both come back as the caller had them.
 """
 from __future__ import annotations
 
@@ -234,19 +235,16 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
-        sys.set_int_max_str_digits(0)  # exponents of any length, read and printed
+    limits = hasattr(sys, "set_int_max_str_digits")  # absent before Python 3.10.7
+    digits, enabled = (sys.get_int_max_str_digits() if limits else 0), gc.isenabled()
     try:
+        if limits:
+            sys.set_int_max_str_digits(0)  # exponents of any length, read and printed
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         # a command makes no reference cycles, so reference counting frees
         # all it drops, and a collection would only walk the graph it keeps
-        enabled = gc.isenabled()
         gc.disable()
-        try:
-            return args.func(args)
-        finally:
-            if enabled:
-                gc.enable()
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -259,6 +257,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # a bug, never a verdict: exit 3, not the "no" code
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
+    finally:  # the caller's digit limit and collector state, on every exit
+        if limits:
+            sys.set_int_max_str_digits(digits)
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

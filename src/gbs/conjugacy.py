@@ -9,15 +9,15 @@ rotations are walked in place, without building them, and each distinct
 rotation once, so a proper power ``u^m`` costs no more walks than u alone;
 a negative pair of periodic paths whose exponents differ still costs one
 O(n) walk per aligned rotation.
-Elliptic pairs reduce to a commutative-monoid congruence of exponent
-vectors over a coprime basis of the edge labels, built by gcds.  Two cheap
-invariants decide most negatives first: the residuals that the basis leaves
-must agree, which needs no relations, and the difference of the two vectors
-must lie in the lattice the relation differences span, which takes one
-integer elimination.  Only the pairs that pass both reach the completion;
-only a caller's coordinate bound can stop it short, so the verdict is
-three-valued.  Every positive answer carries a conjugator
-witness that is verified against the word problem; a witness that fails
+Elliptic pairs reduce to a commutative-monoid congruence of exponent vectors
+over a coprime basis of the edge labels, which the encoding derives from the
+graph by gcds; it builds its relations on first use.  Two cheap invariants
+decide most negatives first: the residuals that the basis leaves must agree,
+which builds no relation, and the difference of the two vectors must lie in
+the lattice of the relation differences, tested by one integer elimination.
+Only the pairs that pass both reach the completion; only a caller's coordinate
+bound can stop it short, so the verdict is three-valued.  Every positive
+answer carries a witness verified against the word problem; one that fails
 raises :class:`InternalError`, never a negative verdict.
 """
 from __future__ import annotations
@@ -207,32 +207,34 @@ def conj_elliptic(
     bound: Optional[int] = None,
 ) -> ConjResult:
     """Conjugacy of the vertex powers ``a^k`` and ``b^ell``: the residuals
-    that the coprime basis of the labels leaves must agree, compared before
-    any relation is built, and the exponent vectors must be congruent in the
-    derived monoid (see :class:`monoid.MonoidEncoding`), whose lattice test
-    runs before its completion; a congruence path maps back to an edge-path
-    conjugator, and ``1`` at a to ``1`` at b takes a tree path.  Every
-    witness is verified.  ``bound`` caps the completion's coordinates, the
-    sign and basis exponents (see :func:`monoid.congruent`); when it stops
-    the completion short, the verdict is UNKNOWN."""
+    that the coprime basis of the labels leaves must agree, and the exponent
+    vectors must be congruent in the derived monoid (see
+    :func:`monoid.gbs_to_monoid`), which builds its relations only then and
+    tests its lattice before its completion; a congruence path maps back to
+    an edge-path conjugator, and ``1`` at a to ``1`` at b takes a tree path.
+    Every witness is verified.  ``bound`` caps the completion's
+    coordinates, the sign and basis exponents (see :func:`monoid.congruent`);
+    when it stops the completion short, the verdict is UNKNOWN."""
+    for v in (a, b):  # an unknown vertex is an error on every path
+        if v not in graph.vertex_set:
+            raise WordError(f"unknown vertex {v!r}")
     if k == 0 and ell == 0:  # any path from b to a conjugates 1 at a to 1 at b
         steps = tuple((name, 0) for name in tree_path(graph, b, a))
     elif k == 0 or ell == 0:
         return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="only 1 is conjugate to 1")
     else:
-        basis = arith.coprime_basis(edge.alpha for edge in graph.edges)
-        rk, e = monoid.split_power(graph, basis, a, k)
-        rl, f = monoid.split_power(graph, basis, b, ell)
+        enc = monoid.gbs_to_monoid(graph)
+        rk, e = enc.split(a, k)
+        rl, f = enc.split(b, ell)
         if rk != rl:
             return ConjResult(ConjVerdict.NOT_CONJUGATE, reason="residual mismatch")
-        enc = monoid.gbs_to_monoid(graph, basis)
         res = monoid.congruent(e, f, enc.presentation, bound)
         if res.verdict is monoid.Verdict.NOT_CONGRUENT:
             return ConjResult(ConjVerdict.NOT_CONJUGATE, reason=res.reason)
         if res.verdict is monoid.Verdict.UNKNOWN:
             return ConjResult(ConjVerdict.UNKNOWN, reason=res.reason)
         steps = tuple((name, 0) for name in enc.conjugator_path(res.path))
-    va, wb = GFactorization(graph, a, k, ()), GFactorization(graph, b, ell, ())
+    va, wb = GFactorization._trusted(graph, a, k, ()), GFactorization._trusted(graph, b, ell, ())
     return _verified("elliptic", va, wb, lambda: GFactorization(graph, b, 0, steps))
 
 

@@ -423,11 +423,12 @@ def concat(*parts: GFactorization) -> GFactorization:
     return GFactorization._trusted(first.graph, first.base, k0, tuple(steps))
 
 
-def _checked_tree(graph: GbsGraph, start: Optional[str] = None) -> _Tree:
+def _checked_tree(graph: GbsGraph, *ends: str) -> _Tree:
     """The graph's own search (:attr:`GbsGraph._tree`), after the checks
-    every tree path needs: a known ``start``, a vertex, connectivity."""
-    if start is not None and start not in graph.vertex_set:
-        raise GraphError(f"unknown vertex {start!r}")
+    every tree path needs: known ``ends``, a vertex, connectivity."""
+    for v in ends:
+        if v not in graph.vertex_set:
+            raise GraphError(f"unknown vertex {v!r}")
     if not graph.vertices:
         raise GraphError("graph has no vertices")
     prev = graph._tree
@@ -445,12 +446,10 @@ def _root_path(prev: _Tree, v: str) -> list[str]:
     return path[::-1]
 
 
-def _path_from(graph: GbsGraph, prev: _Tree, start: str, up: list[str], v: str) -> list[str]:
+def _path_from(graph: GbsGraph, prev: _Tree, up: list[str], v: str) -> list[str]:
     """Edge names of path(start, v) in the tree, given ``up`` = path(root,
     start): ``up`` inverted, then path(root, v), less their common prefix,
     which is the one reduced path between the two in a tree."""
-    if v not in prev:
-        raise GraphError(f"no tree path from {start} to {v}")
     down = _root_path(prev, v)
     i = 0
     while i < min(len(up), len(down)) and up[i] == down[i]:
@@ -474,8 +473,8 @@ def spanning_tree(graph: GbsGraph) -> frozenset:
 def tree_path(graph: GbsGraph, start: str, goal: str) -> tuple[str, ...]:
     """Edge names of the unique reduced path from start to goal inside the
     :func:`spanning_tree`, found by that tree's own search."""
-    prev = _checked_tree(graph, start)
-    return tuple(_path_from(graph, prev, start, _root_path(prev, start), goal))
+    prev = _checked_tree(graph, start, goal)
+    return tuple(_path_from(graph, prev, _root_path(prev, start), goal))
 
 
 def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
@@ -501,7 +500,7 @@ def rebase(text: str, graph: GbsGraph, base: str) -> GFactorization:
         src, dst = f.base, f.end
         for v in (src, dst):
             if v not in paths:
-                there = _path_from(graph, prev, base, up, v)
+                there = _path_from(graph, prev, up, v)
                 paths[v] = (
                     [(name, 0) for name in there],
                     [(by_name[name].inv, 0) for name in reversed(there)],

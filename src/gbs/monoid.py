@@ -14,13 +14,15 @@ Every move adds ``s - r`` or subtracts it, so congruent vectors differ by an
 element of the relation lattice L, the integer span of these differences.
 The completion has no polynomial bound, but a pair whose difference lies
 outside L is told apart by one integer elimination, before any completion.
+:func:`gbs_to_monoid` derives the coprime basis of a graph's labels itself,
+and its encoding builds the relations on first use.
 """
 from __future__ import annotations
 
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge, mul, sub
 from typing import Optional, Sequence
@@ -49,9 +51,6 @@ class MonPresentation:
     dim: int
     relations: tuple[tuple[ExpVec, ExpVec], ...]
     units: int = 0
-    # s - r for each relation (r, s): a step r->s adds it to a vector, a
-    # step s->r subtracts it
-    deltas: tuple[ExpVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.units <= self.dim:
@@ -59,11 +58,16 @@ class MonPresentation:
         for r, s in self.relations:
             if len(r) != self.dim or len(s) != self.dim:
                 raise GbsError("relation dimension mismatch")
-            if any(x < 0 for x in r + s):
+            if min(r + s, default=0) < 0:
                 raise GbsError("relation entries must be naturals")
             if self.units and sum(r[-self.units:]) != sum(s[-self.units:]):
                 raise GbsError("relation sides hold different unit counts")
-        object.__setattr__(self, "deltas", tuple([tuple(map(sub, s, r)) for r, s in self.relations]))
+
+    @cached_property
+    def deltas(self) -> tuple[ExpVec, ...]:
+        """s - r for each relation (r, s): a step r->s adds it to a vector,
+        a step s->r subtracts it."""
+        return tuple([tuple(map(sub, s, r)) for r, s in self.relations])
 
     @cached_property
     def _lattice(self) -> tuple[tuple[int, ExpVec], ...]:
@@ -110,16 +114,10 @@ class MonPresentation:
         return tuple([(c, pivots[c]) for c in order])
 
     def in_lattice(self, t: Sequence[int]) -> bool:
-        """Whether the integer vector t lies in the relation lattice L: t is
-        reduced by each row of :attr:`_lattice` in turn, which clears the
-        row's column for good, and must reach zero."""
-        for c, row in self._lattice:
-            if t[c]:
-                q, rem = divmod(t[c], row[c])
-                if rem:
-                    return False
-                t = tuple([x - q * y for x, y in zip(t, row)])
-        return not any(t)
+        """Whether the integer vector t lies in the relation lattice L.  The
+        basis of :attr:`_lattice` is in Hermite form, so t lies in L exactly
+        when its floor reduction by that basis (:func:`_reduced`) is zero."""
+        return not any(_reduced(t, self._lattice))
 
 
 def _settle(pivots: dict[int, ExpVec], order: list[int], c: int, row: ExpVec) -> None:
@@ -134,21 +132,20 @@ def _settle(pivots: dict[int, ExpVec], order: list[int], c: int, row: ExpVec) ->
         i += 1
     if c not in pivots:
         order.insert(i, c)
-    lower = order[i + 1:]
-    pivots[c] = row = _reduced(row, pivots, lower)
+    lower = [(d, pivots[d]) for d in order[i + 1:]]
+    pivots[c] = row = _reduced(row, lower)
     a = row[c]
     for h in order[:i]:
         higher = pivots[h]
         q = higher[c] // a
         if q:
-            pivots[h] = _reduced(tuple([y - q * p for p, y in zip(row, higher)]), pivots, lower)
+            pivots[h] = _reduced(tuple([y - q * p for p, y in zip(row, higher)]), lower)
 
 
-def _reduced(row: ExpVec, pivots: dict[int, ExpVec], columns: Sequence[int]) -> ExpVec:
-    """Row less the floor multiple of each pivot of the given columns, in
-    their order (descending), that leaves its entry in the pivot's range."""
-    for d in columns:
-        pivot = pivots[d]
+def _reduced(row: Sequence[int], pivots: Sequence[tuple[int, ExpVec]]) -> Sequence[int]:
+    """Row less the floor multiple of each ``(column, pivot)`` in turn,
+    columns descending, that leaves its entry in the pivot's range."""
+    for d, pivot in pivots:
         q = row[d] // pivot[d]
         if q:
             row = tuple([y - q * p for p, y in zip(pivot, row)])
@@ -426,21 +423,6 @@ def parse_vector(text: str, dim: Optional[int] = None) -> ExpVec:
     return vec
 
 
-def _split(k: int, basis: tuple[int, ...], vertices: tuple[str, ...], vertex: str):
-    residual, exps = arith.split(k, basis)
-    return residual, (int(k < 0),) + exps + tuple(int(v == vertex) for v in vertices)
-
-
-def split_power(graph: GbsGraph, basis: tuple[int, ...], vertex: str, k: int) -> tuple[int, ExpVec]:
-    """The residual of a nonzero vertex power's exponent k over the basis,
-    and its vector: the sign bit, the exponents of k over the basis, then
-    the unit vector of the vertex.  Two powers with different residuals are
-    never conjugate."""
-    if vertex not in graph.vertex_set:
-        raise GbsError(f"unknown vertex {vertex!r}")
-    return _split(k, basis, graph.vertices, vertex)
-
-
 @dataclass(frozen=True)
 class MonoidEncoding:
     """Elliptic conjugacy of a graph of groups as a monoid congruence.
@@ -456,61 +438,57 @@ class MonoidEncoding:
     relation absorbing squared signs.  Every relation side holds one vertex
     unit, so the vertex slots are the presentation's units: the completion
     for a vertex power never resolves a critical pair of two different
-    vertices.  ``step_letters`` names each relation's edge, the one of
-    :func:`graphs.orientation` (None for sign relations); applied r->s, the
+    vertices.  Relation i is the edge ``orientation(graph)[i]`` while i is
+    below the number of pairs, a sign relation after; applied r->s, an edge
     relation conjugates by the edge's inverse, applied s->r by the edge.
     """
 
     graph: GbsGraph
-    presentation: MonPresentation
     basis: tuple[int, ...]
-    vertices: tuple[str, ...]
-    step_letters: tuple[Optional[str], ...]
 
-    def encode(self, vertex: str, k: int) -> ExpVec:
-        """The vector of :func:`split_power`, without the residual."""
-        return split_power(self.graph, self.basis, vertex, k)[1]
+    def split(self, vertex: str, k: int) -> tuple[int, ExpVec]:
+        """The residual of a nonzero vertex power's exponent k over the
+        basis, and its vector: the sign bit, the exponents of k over the
+        basis, then the unit vector of the vertex.  Two powers with
+        different residuals are never conjugate."""
+        if vertex not in self.graph.vertex_set:
+            raise GbsError(f"unknown vertex {vertex!r}")
+        residual, exps = arith.split(k, self.basis)
+        return residual, (int(k < 0),) + exps + tuple([int(v == vertex) for v in self.graph.vertices])
+
+    @cached_property
+    def presentation(self) -> MonPresentation:
+        """The relations, built on first use: a pair told apart by its
+        residuals needs none."""
+        graph, vertices = self.graph, self.graph.vertices
+        relations = []
+        for name in orientation(graph):
+            e = graph.by_name[name]
+            relations.append((self.split(e.src, e.alpha)[1], self.split(e.dst, e.beta)[1]))
+        sign_one = (2,) + (0,) * len(self.basis)
+        for v in vertices:
+            unit = tuple([int(u == v) for u in vertices])
+            relations.append((sign_one + unit, (0,) * len(sign_one) + unit))
+        return MonPresentation(len(sign_one) + len(vertices), tuple(relations), len(vertices))
 
     def conjugator_path(self, path: Sequence[PathStep]) -> tuple[str, ...]:
         """Edge names of a conjugator for a relation path: a step r->s
         conjugates by the inverse of its relation's edge, a step s->r by the
         edge, a sign step by nothing, and the steps compose right to left,
         so the word maps the path's start to its end."""
-        edges, by_name = self.step_letters, self.graph.by_name
+        edges, by_name = orientation(self.graph), self.graph.by_name
         return tuple(
             by_name[edges[i]].inv if d > 0 else edges[i]
-            for i, d in reversed(path) if edges[i] is not None
+            for i, d in reversed(path) if i < len(edges)
         )
 
 
-def gbs_to_monoid(graph: GbsGraph, basis: tuple[int, ...]) -> MonoidEncoding:
-    """Derive the congruence presentation whose word problem mirrors
-    elliptic conjugacy in the graph of groups.  The graph is taken as valid
-    (see ``graphs.validate``), as ``graphs.parse_graph`` returns it, and
-    ``basis`` is the coprime basis of its labels
-    (:func:`arith.coprime_basis`)."""
-    vertices = graph.vertices
-    m = 1 + len(basis)  # the sign slot, then the basis
-    relations: list[tuple[ExpVec, ExpVec]] = []
-    letters: list[Optional[str]] = []
-    for name in orientation(graph):
-        e = graph.by_name[name]
-        _, r = _split(e.alpha, basis, vertices, e.src)
-        _, s = _split(e.beta, basis, vertices, e.dst)
-        relations.append((r, s))
-        letters.append(name)
-    sign_one = (2,) + (0,) * (m - 1)
-    for v in vertices:
-        unit = tuple(1 if u == v else 0 for u in vertices)
-        relations.append((sign_one + unit, (0,) * m + unit))
-        letters.append(None)
-    return MonoidEncoding(
-        graph,
-        MonPresentation(m + len(vertices), tuple(relations), len(vertices)),
-        basis,
-        vertices,
-        tuple(letters),
-    )
+def gbs_to_monoid(graph: GbsGraph) -> MonoidEncoding:
+    """The encoding whose congruences mirror elliptic conjugacy in the graph
+    of groups, over the coprime basis of its labels; its relations are
+    built on first use.  The graph is taken as valid (see
+    ``graphs.validate``), as ``graphs.parse_graph`` returns it."""
+    return MonoidEncoding(graph, arith.coprime_basis(e.alpha for e in graph.edges))
 
 
 def monoid_to_gbs(

@@ -1,6 +1,6 @@
 import pytest
 
-from gbs import arith, graphs, monoid
+from gbs import graphs, monoid
 from oracles import parse_word, to_factorization
 
 BS23 = "bs 2 3"
@@ -51,11 +51,6 @@ def example_fact(bs23):
 
 def fact(graph, text):
     return graphs.parse_factorization(text, graph)
-
-
-def encoding(graph):
-    """The monoid encoding of a graph over the coprime basis of its labels."""
-    return monoid.gbs_to_monoid(graph, arith.coprime_basis(e.alpha for e in graph.edges))
 
 
 LATTICE_NEGATIVE = "outside the relation lattice"

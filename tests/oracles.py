@@ -12,8 +12,8 @@ through the rewriting reducer, after joining them letter by letter with
 ``concat``.  :func:`parse_graph_lines` reads a graph file one line at a
 time and is the reference reader for ``parse_graph``: its graphs and its
 error texts.  :func:`validate_reference` runs every check of ``validate``
-on every edge.  From ``gbs`` this module uses only the data types and word
-helpers of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
+on every edge.  From ``gbs`` this module uses only the data types and
+errors of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
 cross-check never runs the code it checks
 (``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
 """
@@ -30,7 +30,6 @@ from gbs.graphs import (
     GFactorization,
     GraphError,
     WordError,
-    invert,
 )
 
 
@@ -297,14 +296,27 @@ def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Le
 
 
 def _inverse(word: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
-    return letters(invert(to_factorization(word, graph)))
+    """The letters reversed, each edge replaced by its inverse and each
+    power negated."""
+    return tuple(
+        VertexPower(x.vertex, -x.exp) if isinstance(x, VertexPower)
+        else EdgeLetter(graph.by_name[x.edge].inv)
+        for x in reversed(word)
+    )
 
 
 def replays_to_identity(z: GFactorization, v: GFactorization, w: GFactorization) -> bool:
     """Whether ``z v z^-1 w^-1`` joins into a closed word that the rewriting
-    oracle reduces to the empty word with exponent zero."""
+    oracle reduces to the empty word with exponent zero.  The inverses are
+    taken letter by letter, each opened by a zero power at its own base,
+    the end of the word it inverts, so that every seam is checked."""
+    g = z.graph
+    parts = [
+        (z.base, letters(z)), (v.base, letters(v)),
+        (z.end, _inverse(letters(z), g)), (w.end, _inverse(letters(w), g)),
+    ]
     try:
-        f = join(z, v, invert(z), invert(w))
+        f = to_factorization([x for base, word in parts for x in (VertexPower(base, 0), *word)], g)
     except WordError:
         return False
     h = britton_reduce_naive(f)

@@ -341,7 +341,12 @@ def test_exponent_longer_than_the_default_digit_limit_is_printed(capsys, tmp_pat
     code, out, err = run(capsys, "reduce", "--literal", str(p), word)
     assert code == 0 and err == ""
     vertex, _, exp = out.strip().partition("^")
-    assert vertex == "a" and int(exp) == 2**15000
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # main gave its caller the limit back
+        assert vertex == "a" and int(exp) == 2**15000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exponent_of_5000_digits_parses(capsys, bs_path):
@@ -615,7 +620,8 @@ WP_ONE = ["wp", "--literal", "{f}", "1"]
 def test_graph_loading_leaves_the_collector_as_it_found_it(
     capsys, monkeypatch, tmp_path, enabled, text, argv, code, broken
 ):
-    # the command pauses the collector, and every way out restores it
+    # the command pauses the collector and lifts the int-string digit limit,
+    # and every way out restores both as the caller had them
     if broken:
         def word_problem(f):
             raise RuntimeError("broken reducer")
@@ -624,13 +630,16 @@ def test_graph_loading_leaves_the_collector_as_it_found_it(
     p = tmp_path / "in"
     if text is not None:
         p.write_text(text)
-    was = gc.isenabled()
+    was, limit = gc.isenabled(), sys.get_int_max_str_digits()
     try:
         (gc.enable if enabled else gc.disable)()
+        sys.set_int_max_str_digits(4321)
         assert run(capsys, *(a.format(f=p) for a in argv))[0] == code
         assert gc.isenabled() is enabled
+        assert sys.get_int_max_str_digits() == 4321
     finally:
         (gc.enable if was else gc.disable)()
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("argv", [

@@ -447,8 +447,11 @@ def test_the_identity_witness_is_verified(amalgam, monkeypatch):
 
 
 def test_conj_elliptic_rejects_unknown_vertex(bs23):
-    # on either side, and before the residuals (1 and 3 here) are compared
-    for a, k, b, ell in (("nope", 2, "a", 2), ("a", 2, "nope", 2), ("a", 2, "nope", 6)):
+    # on either side, before the residuals (1 and 3 here) are compared, and
+    # before a zero exponent answers or takes a tree path
+    cases = [("nope", 2, "a", 2), ("a", 2, "nope", 2), ("a", 2, "nope", 6)]
+    cases += [("nope", 0, "a", 3), ("a", 3, "nope", 0), ("nope", 0, "a", 0), ("a", 0, "nope", 0)]
+    for a, k, b, ell in cases:
         with pytest.raises(GbsError, match="unknown vertex 'nope'"):
             conj_elliptic(a, k, b, ell, bs23)
 

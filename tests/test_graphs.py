@@ -774,8 +774,12 @@ def test_rebase_errors(amalgam):
         with pytest.raises(kind) as info:
             rebase(text, amalgam, base)
         assert type(info.value) is kind and str(info.value) == message
-    with pytest.raises(GraphError, match="^no tree path from b to z$"):
+    with pytest.raises(GraphError, match="^unknown vertex 'z'$"):
         tree_path(amalgam, "b", "z")
+    # an edge into a name that is no vertex leads no tree path there
+    dangling = parse_graph("vertex a\nedge t a z 1 1 T\nedge T z a 1 1 t\n", check=False)
+    with pytest.raises(GraphError, match="^unknown vertex 'z'$"):
+        tree_path(dangling, "a", "z")
     with pytest.raises(GraphError, match="^unknown vertex 'z'$"):
         tree_path(amalgam, "z", "a")
     disconnected = parse_graph(

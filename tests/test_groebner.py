@@ -14,11 +14,11 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
+    gbs_to_monoid,
     monoid_to_gbs,
     replay_path,
 )
 import gen
-from conftest import encoding
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,13 +70,14 @@ def test_completion_matches_groebner_on_graph_encodings():
     verdicts = []
     for _ in range(60):
         graph = gen.random_graph(rng)
-        enc = encoding(graph)
+        enc = gbs_to_monoid(graph)
         ideal = Ideal(enc.presentation)
         for _ in range(3):
             a, b = rng.choice(graph.vertices), rng.choice(graph.vertices)
             k = rng.choice((-1, 1)) * rng.randint(1, 60)
             ell = rng.choice((-1, 1)) * rng.randint(1, 60)
-            verdicts.append(_check(enc.presentation, ideal, enc.encode(a, k), enc.encode(b, ell)))
+            e, f = enc.split(a, k)[1], enc.split(b, ell)[1]
+            verdicts.append(_check(enc.presentation, ideal, e, f))
     assert verdicts.count(Verdict.CONGRUENT) > 10
     assert verdicts.count(Verdict.NOT_CONGRUENT) > 10
 
@@ -89,11 +90,11 @@ def test_verdicts_that_were_unknown():
     graph = parse_graph(
         "vertex a\nedge y a a 4 2 Y\nedge Y a a 2 4 y\nedge z a a 9 3 Z\nedge Z a a 3 9 z\n"
     )
-    enc = encoding(graph)
-    e, f = enc.encode("a", 6), enc.encode("a", 2)
+    enc = gbs_to_monoid(graph)
+    e, f = enc.split("a", 6)[1], enc.split("a", 2)[1]
     assert _check(enc.presentation, Ideal(enc.presentation), e, f) is Verdict.NOT_CONGRUENT
     # a converted presentation goes through the same check
     graph, k, ell = monoid_to_gbs(pres, (1, 1), (1, 0))
-    enc = encoding(graph)
-    e, f = enc.encode("a", k), enc.encode("a", ell)
+    enc = gbs_to_monoid(graph)
+    e, f = enc.split("a", k)[1], enc.split("a", ell)[1]
     assert _check(enc.presentation, Ideal(enc.presentation), e, f) is Verdict.NOT_CONGRUENT

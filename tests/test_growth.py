@@ -4,7 +4,7 @@ five seconds.
 """
 import random
 
-from gbs import arith, monoid
+from gbs import graphs, monoid
 from gbs.conjugacy import conj_elliptic
 from gbs.graphs import Edge, GbsGraph
 from gbs.monoid import congruent
@@ -50,6 +50,32 @@ def test_a_pair_outside_the_lattice_is_not_completed_at_any_bound(monkeypatch):
     assert calls == [((2, 1), (0, 3))]
 
 
+def _counting_presentations(monkeypatch) -> list:
+    built = []
+    check = monoid.MonPresentation.__post_init__
+
+    def counted(self):
+        built.append(self.dim)
+        check(self)
+
+    monkeypatch.setattr(monoid.MonPresentation, "__post_init__", counted)
+    return built
+
+
+def test_the_relations_are_built_only_once_the_residuals_agree(monkeypatch):
+    # label products have residual 1 (gen.label_power), and 13, a prime
+    # above every label, is a residual of its own
+    built = _counting_presentations(monkeypatch)
+    assert conj_elliptic("a", 5, "a", 7, graphs.parse_graph("bs 2 3")).reason == "residual mismatch"
+    assert built == []
+    for g, a, k, b, ell in gen.label_built_queries(random.Random(22), 40):
+        assert conj_elliptic(a, k, b, 13 * ell, g).reason == "residual mismatch"
+        assert built == [], (g, a, k, b, ell)
+        conj_elliptic(a, k, b, ell, g, 2)
+        assert len(built) == 1, (g, a, k, b, ell)
+        built.clear()
+
+
 def _cycle_with_chords(rng, vertices: int, chords: int) -> GbsGraph:
     """A cycle through every vertex plus random extra edge pairs, labels
     up to 30 in absolute value."""
@@ -68,8 +94,7 @@ def test_the_lattice_basis_keeps_small_entries_on_graphs_with_many_cycles():
     # digits on these two graphs; the Hermite basis stays within 3
     for vertices, chords in ((50, 50), (100, 25)):
         graph = _cycle_with_chords(random.Random(vertices), vertices, chords)
-        basis = arith.coprime_basis(e.alpha for e in graph.edges)
-        lattice = monoid.gbs_to_monoid(graph, basis).presentation._lattice
+        lattice = monoid.gbs_to_monoid(graph).presentation._lattice
         assert len(lattice) >= vertices - 1
         largest = max(abs(x) for _, row in lattice for x in row)
         assert largest < 1000, (vertices, chords, largest)

@@ -14,9 +14,8 @@ import random
 
 import pytest
 
-from gbs.monoid import MonPresentation
+from gbs.monoid import MonPresentation, gbs_to_monoid
 import gen
-from conftest import encoding
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
@@ -77,7 +76,7 @@ def test_membership_matches_the_smith_form_on_graph_encodings():
     rng = random.Random(0x1A78)
     seen = {True: 0, False: 0}
     for _ in range(40):
-        pres = encoding(gen.random_graph(rng, 5, 8, 12)).presentation
+        pres = gbs_to_monoid(gen.random_graph(rng, 5, 8, 12)).presentation
         _check(pres, _targets(rng, pres, 3), seen)
     assert min(seen.values()) > 80, seen
 
@@ -102,7 +101,7 @@ def test_the_lattice_basis_is_the_hermite_normal_form():
             vec = lambda: tuple(rng.randint(0, 6) for _ in range(dim))  # noqa: E731
             pres = MonPresentation(dim, tuple((vec(), vec()) for _ in range(rng.randint(0, 7))))
         else:
-            pres = encoding(gen.random_graph(rng, 5, 8, 12)).presentation
+            pres = gbs_to_monoid(gen.random_graph(rng, 5, 8, 12)).presentation
         _hermite(pres)
         shuffled = list(pres.relations)
         rng.shuffle(shuffled)

@@ -10,13 +10,14 @@ from gbs.monoid import (
     MonPresentation,
     Verdict,
     congruent,
+    gbs_to_monoid,
     monoid_to_gbs,
     parse_presentation,
     parse_vector,
     replay_path,
 )
 import gen
-from conftest import LATTICE_NEGATIVE, encoding, keeps_its_decision, without_the_lattice_test
+from conftest import LATTICE_NEGATIVE, keeps_its_decision, without_the_lattice_test
 
 SWAP = MonPresentation(2, (((1, 0), (0, 1)),))
 
@@ -244,23 +245,29 @@ def test_translation_invariance_sample():
 
 
 def test_gbs_to_monoid_bs23(bs23):
-    enc = encoding(bs23)
+    enc = gbs_to_monoid(bs23)
     assert enc.basis == (2, 3)  # after the sign slot
     assert enc.presentation.dim == 4
     assert enc.presentation.relations == (
         ((0, 0, 1, 1), (0, 1, 0, 1)),  # one loop pair: alpha 3 ~ beta 2
         ((2, 0, 0, 1), (0, 0, 0, 1)),  # squared sign disappears
     )
-    assert enc.step_letters == ("y", None)
-    assert enc.encode("a", 12) == (0, 2, 1, 1)
-    assert enc.encode("a", 18) == (0, 1, 2, 1)
+    # relation 0 is the edge y (r->s conjugates by Y, s->r by y), relation 1
+    # a sign relation (no letter); the steps compose right to left
+    assert enc.conjugator_path(((0, 1), (1, 1), (0, -1))) == ("y", "Y")
+    assert enc.conjugator_path(((1, -1),)) == ()
+    assert enc.split("a", 12) == (1, (0, 2, 1, 1))
+    assert enc.split("a", 18) == (1, (0, 1, 2, 1))
+    assert enc.split("a", -90) == (5, (1, 1, 2, 1))
+    with pytest.raises(GbsError, match="^unknown vertex 'z'$"):
+        enc.split("z", 12)
 
 
 def test_gbs_monoid_queries(bs23):
-    enc = encoding(bs23)
-    res = congruent(enc.encode("a", 12), enc.encode("a", 18), enc.presentation)
+    enc = gbs_to_monoid(bs23)
+    res = congruent(enc.split("a", 12)[1], enc.split("a", 18)[1], enc.presentation)
     assert res.verdict is Verdict.CONGRUENT
-    res = congruent(enc.encode("a", 2), enc.encode("a", -2), enc.presentation)
+    res = congruent(enc.split("a", 2)[1], enc.split("a", -2)[1], enc.presentation)
     assert res.verdict is Verdict.NOT_CONGRUENT
 
 
