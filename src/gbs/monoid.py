@@ -183,12 +183,12 @@ def _reverse(steps: Sequence[PathStep]) -> list[PathStep]:
 
 
 def _normal_form(v: ExpVec, rules: dict) -> tuple[ExpVec, list[PathStep]]:
-    """Rewrite v by the first rule ``lhs: (rhs - lhs, equation)`` that fits
-    until none does; the normal form and the steps taken."""
+    """Rewrite v by the first rule ``lhs: (rhs - lhs, equation, top)`` that
+    fits, ``top`` tested first, until none does; the form and the steps."""
     steps = []
     while True:
-        for lhs, (delta, i) in rules.items():
-            if all(map(ge, v, lhs)):
+        for lhs, (delta, i, top) in rules.items():
+            if v[top] >= lhs[top] and all(map(ge, v, lhs)):
                 v = tuple(map(add, v, delta))
                 steps.append((i, 1))
                 break
@@ -204,8 +204,9 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     steps ``(j, d)`` that apply equation j forwards (d = 1) or backwards
     (d = -1) and name only earlier equations.  The first equations are the
     relations themselves, with path None.  ``rules`` is the rewriting
-    system, an ordered table ``u: (v - u, j)`` keyed by left side, with u
-    above v in the graded order and equation j proving u = v; the other
+    system, an ordered table ``u: (v - u, j, top)`` keyed by left side, with
+    u above v in the graded order, equation j proving u = v and ``top`` the
+    index of u's last nonzero coordinate, tested before all of u; the other
     equations stay only as derivations.  A new rule goes at the end; the
     rules whose left side it divides are deleted (their equations are
     resolved again), and the right sides it divides are rewritten in place.
@@ -225,7 +226,7 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     degree = sum(e[-units:]) if units else 0
     eqs: list = [(r, s, None) for r, s in pres.relations]
     todo = [(r, s, ((j, 1),)) for j, (r, s) in enumerate(pres.relations)][::-1]
-    rules: dict = {}  # lhs -> (rhs - lhs, equation)
+    rules: dict = {}  # lhs -> (rhs - lhs, equation, last nonzero coordinate of lhs)
     # A pair is live while both its left sides are keys; a rewritten right
     # side keeps its key.  A deleted left side stays divisible by some
     # rule's left side (a rule is only deleted for one that divides it),
@@ -241,7 +242,7 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
             _, _, _, a, b = heapq.heappop(pairs)
             if a not in rules or b not in rules:
                 continue
-            (da, i), (db, j) = rules[a], rules[b]
+            (da, i, _), (db, j, _) = rules[a], rules[b]
             lcm = tuple(map(max, a, b))
             u, v = tuple(map(add, lcm, da)), tuple(map(add, lcm, db))
             path = ((i, -1), (j, 1))
@@ -254,17 +255,18 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
             u, v, path = v, u, _reverse(path)
         new = len(eqs)
         eqs.append((u, v, tuple(path)))
-        for lhs in [lhs for lhs in rules if all(map(ge, lhs, u))]:
+        top = max(t for t, x in enumerate(u) if x)  # u > v >= 0, so u is not zero
+        for lhs in [lhs for lhs in rules if lhs[top] >= u[top] and all(map(ge, lhs, u))]:
             k = rules.pop(lhs)[1]
             todo.append((lhs, eqs[k][1], ((k, 1),)))
-        rules[u] = (tuple(map(sub, v, u)), new)
-        for lhs, (_, k) in rules.items():
+        rules[u] = (tuple(map(sub, v, u)), new, top)
+        for lhs, (_, k, lhs_top) in rules.items():
             rhs = eqs[k][1]
-            if all(map(ge, rhs, u)):  # never the new rule: v lies below u
+            if rhs[top] >= u[top] and all(map(ge, rhs, u)):  # never the new rule: v lies below u
                 rhs, steps = _normal_form(rhs, rules)
-                rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
+                rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs), lhs_top)
                 eqs.append((lhs, rhs, ((k, 1), *steps)))
-        for lhs, (_, k) in rules.items():
+        for lhs, (_, k, _) in rules.items():
             # k == new: u itself; the left sides share a coordinate where x * y > 0
             if k == new or not any(map(mul, lhs, u)):
                 continue
@@ -276,7 +278,7 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
                 continue
             heapq.heappush(pairs, (_key(lcm), k, new, lhs, u))
         for end, (w, steps) in enumerate(ends):
-            if all(map(ge, w, u)):  # only the new rule can apply to an end
+            if w[top] >= u[top] and all(map(ge, w, u)):  # only the new rule can apply to an end
                 w, more = _normal_form(w, rules)
                 ends[end] = (w, steps + more)
         if ends[0][0] == ends[1][0]:
@@ -413,7 +415,7 @@ def parse_presentation(text: str) -> MonPresentation:
 
 def parse_vector(text: str, dim: Optional[int] = None) -> ExpVec:
     try:
-        vec = tuple(int(t) for t in text.split(","))
+        vec = tuple(int(t) for t in text.split(",")) if text else ()  # '' is dim 0's vector
     except ValueError:
         raise GbsError(f"malformed vector {text!r}") from None
     if any(x < 0 for x in vec):

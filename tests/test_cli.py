@@ -280,6 +280,19 @@ def test_convert_emits_parseable_graph(capsys, tmp_path):
     assert queries == ["# query-v: a^4", "# query-w: a^3"]
 
 
+def test_a_dim_0_presentation_is_queried_with_empty_vectors(capsys, tmp_path):
+    # '' is the one vector of dimension 0; it is still too short for dim 1
+    pres = tmp_path / "p.mon"
+    pres.write_text("dim 0\n")
+    assert run(capsys, "monoid", "congruent", str(pres), "", "") == (0, "congruent\n", "")
+    code, out, err = run(capsys, "convert", "monoid-to-gbs", str(pres), "", "")
+    assert (code, out, err) == (0, "vertex a\n# query-v: a^1\n# query-w: a^1\n", "")
+    assert graphs.parse_graph(out).edges == ()
+    pres.write_text("dim 1\n")
+    code, out, err = run(capsys, "monoid", "congruent", str(pres), "", "0")
+    assert (code, out, err) == (3, "", "error: vector '' should have 1 entries\n")
+
+
 def test_missing_file_is_exit_3(capsys):
     code, _, err = run(capsys, "wp", "/nonexistent.graph", "a")
     assert code == 3 and "error" in err

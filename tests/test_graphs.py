@@ -759,6 +759,34 @@ def test_well_formed_files_are_read_once(monkeypatch):
     assert parse_graph(g.to_text()) == g
     assert parse_graph(TREE_TEXT).to_text() == TREE_TEXT
 
+
+def test_a_loaded_edge_is_an_edge_value_built_without_its_constructor(monkeypatch):
+    # the loader builds each edge as a slot record and gives it the class
+    # Edge: the frozen constructor never runs, and the result is an Edge
+    # value in every respect that test_edge_is_an_immutable_value checks
+    built = []
+    init = Edge.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    g = parse_graph(TREE_TEXT)
+    assert (len(built), len(g.edges)) == (0, 1648)
+    monkeypatch.undo()
+    for e in g.edges:
+        fields = (e.name, e.src, e.dst, e.alpha, e.beta, e.inv)
+        assert type(e) is Edge and e == Edge(*fields) and hash(e) == hash(Edge(*fields))
+        assert repr(e) == repr(Edge(*fields))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.alpha = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del e.name
+        for again in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(again) is Edge and again == e
+
+
 def test_rebase_errors(amalgam):
     # every token is read before the base is checked, so a bad token wins
     cases = [

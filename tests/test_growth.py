@@ -98,3 +98,20 @@ def test_the_lattice_basis_keeps_small_entries_on_graphs_with_many_cycles():
         assert len(lattice) >= vertices - 1
         largest = max(abs(x) for _, row in lattice for x in row)
         assert largest < 1000, (vertices, chords, largest)
+
+
+def test_the_completion_compares_in_full_only_rules_whose_last_coordinate_fits(monkeypatch):
+    # each rule keeps the index of its left side's last nonzero coordinate,
+    # in an encoding the vertex unit, and tests it before the full
+    # comparison: about 335,000 full comparisons on these queries, against
+    # about 1,458,000 when the rules of every vertex are compared in full
+    compared = [0]
+
+    def counted(iterable):
+        compared[0] += 1
+        return all(iterable)
+
+    monkeypatch.setattr(monoid, "all", counted, raising=False)
+    for g, a, k, b, ell in gen.label_built_queries(random.Random(10), 20):
+        conj_elliptic(a, k, b, ell, g)
+    assert 100_000 < compared[0] < 700_000, compared[0]
