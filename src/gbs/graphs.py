@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 
 class GbsError(ValueError):
@@ -170,8 +170,7 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
             graph = bs_graph(int(p), int(q))
         elif (
             len(vertices) + len(edge_rows) == len(ids) == len(rows)
-            and _EMPTY_TOKEN not in ids
-            and "^" not in "".join(ids)
+            and not _unreadable(ids)
         ):
             num = _LabelTable()
             edges = [_EdgeRecord(n, s, d, num[a], num[b], inv) for _, n, s, d, a, b, inv in edge_rows]
@@ -212,8 +211,8 @@ def _first_bad_line(lines: Sequence[str]) -> str:
             return f"line {lineno}: bs must be the only line of the file"
         else:
             return f"line {lineno}: unknown directive {kind!r}"
-        name = toks[1]  # split() leaves no whitespace, and the comment no "#"
-        if name == _EMPTY_TOKEN or "^" in name:
+        name = toks[1]
+        if _unreadable((name,)):
             return f"line {lineno}: bad id {name!r}"
         if name in ids:
             return f"line {lineno}: duplicate id {name!r}"
@@ -228,12 +227,13 @@ def _first_bad_line(lines: Sequence[str]) -> str:
 def validate(graph: GbsGraph) -> list[str]:
     """All structural violations, as human-readable strings (empty = valid).
 
-    Checked: endpoints that are vertices, nonzero labels, the involution
-    being fixed-point free and consistent with endpoints and labels, and
-    connectivity: every vertex is reached by the spanning tree's search
-    from the least vertex, which the graph keeps for its tree paths.  With
-    a valid involution every edge has a reverse, so any root reaches the
-    same vertices; with a broken one the verdict can hang on the root.
+    Checked: ids that words can name, endpoints that are vertices, nonzero
+    labels, the involution being fixed-point free and consistent with
+    endpoints and labels, and connectivity: every vertex is reached by the
+    spanning tree's search from the least vertex, which the graph keeps for
+    its tree paths.  With a valid involution every edge has a reverse, so
+    any root reaches the same vertices; with a broken one the verdict can
+    hang on the root.
     """
     report: list[str] = []
     vertex_set, by_name = graph.vertex_set, graph.by_name
@@ -245,6 +245,9 @@ def validate(graph: GbsGraph) -> list[str]:
         report.append("duplicate edge ids")
     if not vertex_set.isdisjoint(by_name):
         report.append("vertex and edge ids overlap")
+    for kind, ids in (("vertex", vertex_set), ("edge", by_name)):
+        if _unreadable(ids):
+            report += [f"bad {kind} id {i!r}" for i in sorted(ids) if _unreadable((i,))]
     for e in graph.edges:
         inv = by_name.get(e.inv)
         if e.alpha == 0 or e.beta == 0:
@@ -268,6 +271,13 @@ def validate(graph: GbsGraph) -> list[str]:
     if graph.vertices and not graph._tree.keys() >= vertex_set:
         report.append("graph is not connected")
     return report
+
+
+def _unreadable(ids: Collection[str]) -> bool:
+    """Whether word text cannot name some id: ``1``, the empty id, or one
+    holding ``^``, ``#`` or whitespace; a few C-level scans of the ids."""
+    text = "".join(ids)
+    return _EMPTY_TOKEN in ids or "" in ids or "^" in text or "#" in text or "".join(text.split()) != text
 
 
 def _search(graph: GbsGraph, root: str) -> _Tree:

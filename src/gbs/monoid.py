@@ -82,23 +82,22 @@ class MonPresentation:
         is subtracted, and a remainder left in the column replaces the pivot
         and the difference by their extended-gcd combination, the column's
         new pivot, and a row that vanishes in the column.  Every step is
-        unimodular, so the pivots and what is left span L.  Each new pivot
-        is settled by :func:`_settle`, which keeps the pivots the Hermite
-        normal form of the differences seen so far, so their entries never
-        grow beyond it.  An encoding's unit slots (:class:`MonoidEncoding`)
-        come last and hold only 0 and +-1 in every difference, so they
-        pivot on 1 first and need no gcd."""
-        pivots: dict[int, ExpVec] = {}
-        order: list[int] = []  # the columns of pivots, descending
+        unimodular, so the pivots and what is left span L.  :func:`_settle`
+        reduces each new pivot by those below it, which keeps entries small;
+        one final pass, lowest column first, reduces each pivot by the final
+        pivots below it and so establishes the Hermite condition.  An
+        encoding's unit slots (:class:`MonoidEncoding`) come last and hold
+        only 0 and +-1 in every difference, so they pivot on 1 first."""
+        pivots: list = [None] * self.dim  # the pivot of each column, if any
         columns = range(self.dim - 1, -1, -1)
         for row in dict.fromkeys(self.deltas):
             for c in columns:
                 b = row[c]
                 if not b:
                     continue
-                pivot = pivots.get(c)
+                pivot = pivots[c]
                 if pivot is None:
-                    _settle(pivots, order, c, row if b > 0 else tuple([-x for x in row]))
+                    _settle(pivots, c, row if b > 0 else tuple([-x for x in row]))
                     break
                 a = pivot[c]
                 q, b = divmod(b, a)
@@ -106,12 +105,15 @@ class MonPresentation:
                     row = tuple([y - q * p for p, y in zip(pivot, row)])
                 if b:  # 0 < b < a
                     g = math.gcd(a, b)
-                    a, b = a // g, b // g
-                    x = pow(a, -1, b)  # x*a + y*b = 1
-                    y = (1 - x * a) // b
-                    _settle(pivots, order, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
-                    row = tuple([b * u - a * v for u, v in zip(pivot, row)])
-        return tuple([(c, pivots[c]) for c in order])
+                    x, m = arith.solve_congruence(a, g, b)  # x*a + y*b = g, and m = b/g
+                    y = (g - x * a) // b
+                    _settle(pivots, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
+                    row = tuple([m * u - a // g * v for u, v in zip(pivot, row)])
+        basis: list = []  # the final pivots so far, descending
+        for c, pivot in enumerate(pivots):
+            if pivot:
+                basis.insert(0, (c, _reduced(pivot, basis)))
+        return tuple(basis)
 
     def in_lattice(self, t: Sequence[int]) -> bool:
         """Whether the integer vector t lies in the relation lattice L.  The
@@ -120,26 +122,12 @@ class MonPresentation:
         return not any(_reduced(t, self._lattice))
 
 
-def _settle(pivots: dict[int, ExpVec], order: list[int], c: int, row: ExpVec) -> None:
+def _settle(pivots: list, c: int, row: ExpVec) -> None:
     """Make row, positive in column c and zero after it, the pivot of c,
-    keeping every pivot reduced by the later ones (the Hermite condition):
-    the row is reduced by the pivots of the columns below c, and a pivot of
-    a column above c whose entry in c leaves the range of the new pivot's
-    entry is reduced by it and then by those below.  ``order`` lists the
-    columns of ``pivots``, descending, and gains c."""
-    i = 0
-    while i < len(order) and order[i] > c:
-        i += 1
-    if c not in pivots:
-        order.insert(i, c)
-    lower = [(d, pivots[d]) for d in order[i + 1:]]
-    pivots[c] = row = _reduced(row, lower)
-    a = row[c]
-    for h in order[:i]:
-        higher = pivots[h]
-        q = higher[c] // a
-        if q:
-            pivots[h] = _reduced(tuple([y - q * p for p, y in zip(row, higher)]), lower)
+    reduced by the pivots below c as they stand.  The pivots above c are
+    left as they are until the final pass of ``_lattice`` establishes the
+    Hermite condition."""
+    pivots[c] = _reduced(row, [(d, pivots[d]) for d in range(c - 1, -1, -1) if pivots[d]])
 
 
 def _reduced(row: Sequence[int], pivots: Sequence[tuple[int, ExpVec]]) -> Sequence[int]:
@@ -343,16 +331,16 @@ def congruent(
 
     A vector that no relation side fits is alone in its class.  A pair
     whose difference ``f - e`` lies outside the relation lattice
-    (:meth:`MonPresentation.in_lattice`) is NOT_CONGRUENT at any bound,
-    with the reason ``outside the relation lattice``.  Otherwise the
-    presentation is completed (:func:`_complete`) and e and f are
-    rewritten to their normal forms.  Equal normal forms give CONGRUENT
-    with a relation path from e to f, replayed before it is returned;
-    distinct ones give NOT_CONGRUENT.  ``bound`` caps the coordinates of
-    the critical pairs the completion resolves: when the normal forms differ
-    and it skipped a pair whose two left sides are both still rules at the
-    end, the verdict is UNKNOWN.  Without a bound the completion always
-    ends, by Dickson's lemma.
+    (:meth:`MonPresentation.in_lattice`), as does every pair whose unit
+    counts differ, is NOT_CONGRUENT at any bound, with the reason ``outside
+    the relation lattice``.  Otherwise the presentation is completed
+    (:func:`_complete`) and e and f are rewritten to their normal forms.
+    Equal normal forms give CONGRUENT with a relation path from e to f,
+    replayed before it is returned; distinct ones give NOT_CONGRUENT.
+    ``bound`` caps the coordinates of the critical pairs the completion
+    resolves: when the normal forms differ and it skipped a pair whose two
+    left sides are both still rules at the end, the verdict is UNKNOWN.
+    Without a bound the completion always ends, by Dickson's lemma.
     """
     e, f = tuple(e), tuple(f)
     if len(e) != pres.dim or len(f) != pres.dim:
@@ -361,9 +349,6 @@ def congruent(
         raise GbsError("vectors must be naturals")
     if e == f:
         return CongResult(Verdict.CONGRUENT, ())
-    units = pres.units
-    if units and sum(e[-units:]) != sum(f[-units:]):
-        return CongResult(Verdict.NOT_CONGRUENT, reason="unit counts differ")
     for v in (e, f):
         if not any(all(map(ge, v, side)) for rel in pres.relations for side in rel):
             return CongResult(Verdict.NOT_CONGRUENT, reason="no relation applies")
@@ -440,13 +425,18 @@ class MonoidEncoding:
     relation absorbing squared signs.  Every relation side holds one vertex
     unit, so the vertex slots are the presentation's units: the completion
     for a vertex power never resolves a critical pair of two different
-    vertices.  Relation i is the edge ``orientation(graph)[i]`` while i is
-    below the number of pairs, a sign relation after; applied r->s, an edge
-    relation conjugates by the edge's inverse, applied s->r by the edge.
+    vertices.  Relation i is ``edges[i]``, the ``orientation(graph)[i]``
+    edge, while i is below the number of pairs, a sign relation after;
+    applied r->s, it conjugates by the edge's inverse, s->r by the edge.
     """
 
     graph: GbsGraph
     basis: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge of each edge relation, found on first use."""
+        return tuple([self.graph.by_name[n] for n in orientation(self.graph)])
 
     def split(self, vertex: str, k: int) -> tuple[int, ExpVec]:
         """The residual of a nonzero vertex power's exponent k over the
@@ -462,11 +452,8 @@ class MonoidEncoding:
     def presentation(self) -> MonPresentation:
         """The relations, built on first use: a pair told apart by its
         residuals needs none."""
-        graph, vertices = self.graph, self.graph.vertices
-        relations = []
-        for name in orientation(graph):
-            e = graph.by_name[name]
-            relations.append((self.split(e.src, e.alpha)[1], self.split(e.dst, e.beta)[1]))
+        vertices = self.graph.vertices
+        relations = [(self.split(e.src, e.alpha)[1], self.split(e.dst, e.beta)[1]) for e in self.edges]
         sign_one = (2,) + (0,) * len(self.basis)
         for v in vertices:
             unit = tuple([int(u == v) for u in vertices])
@@ -478,9 +465,9 @@ class MonoidEncoding:
         conjugates by the inverse of its relation's edge, a step s->r by the
         edge, a sign step by nothing, and the steps compose right to left,
         so the word maps the path's start to its end."""
-        edges, by_name = orientation(self.graph), self.graph.by_name
+        edges = self.edges
         return tuple(
-            by_name[edges[i]].inv if d > 0 else edges[i]
+            edges[i].inv if d > 0 else edges[i].name
             for i, d in reversed(path) if i < len(edges)
         )
 

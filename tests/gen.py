@@ -48,6 +48,19 @@ def random_graph(
     return GbsGraph(vertices, tuple(edges))
 
 
+def cycle_with_chords(rng: random.Random, vertices: int, chords: int) -> GbsGraph:
+    """A cycle through every vertex plus random extra edge pairs, labels
+    up to 30 in absolute value."""
+    vs = tuple(f"v{i}" for i in range(vertices))
+    ends = [(vs[i], vs[(i + 1) % vertices]) for i in range(vertices)]
+    ends += [(rng.choice(vs), rng.choice(vs)) for _ in range(chords)]
+    edges = []
+    for t, (u, v) in enumerate(ends):
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(2))
+        edges += [Edge(f"y{t}", u, v, a, b, f"Y{t}"), Edge(f"Y{t}", v, u, b, a, f"y{t}")]
+    return GbsGraph(vs, tuple(edges))
+
+
 def label_power(rng: random.Random, graph: GbsGraph) -> int:
     """Plus or minus a product of up to 5 of the graph's labels: an
     exponent whose residual over the labels' coprime basis is 1, so the

@@ -128,9 +128,11 @@ def parse_graph_lines(text: str) -> GbsGraph:
 
 
 def validate_reference(graph: GbsGraph) -> list[str]:
-    """``validate``'s report written check by check for every edge, its
-    tables and its connectivity search rebuilt here: every vertex must be
-    reached from the least one along edges whose source is a vertex."""
+    """``validate``'s report written check by check for every id and edge,
+    its tables and its connectivity search rebuilt here: every id must be
+    neither ``1`` nor empty and hold no ``^``, ``#`` or whitespace, and every
+    vertex must be reached from the least one along edges whose source is a
+    vertex."""
     report: list[str] = []
     vertex_set = set(graph.vertices)
     by_name = {e.name: e for e in graph.edges}
@@ -142,6 +144,10 @@ def validate_reference(graph: GbsGraph) -> list[str]:
         report.append("duplicate edge ids")
     if not vertex_set.isdisjoint(by_name):
         report.append("vertex and edge ids overlap")
+    for kind, ids in (("vertex", vertex_set), ("edge", by_name)):
+        for name in sorted(ids):
+            if name in ("", "1") or any(ch in "^#" or ch.isspace() for ch in name):
+                report.append(f"bad {kind} id {name!r}")
     for e in graph.edges:
         if e.alpha == 0 or e.beta == 0:
             report.append(f"edge {e.name}: zero label")

@@ -116,7 +116,11 @@ def test_validate_self_inverse():
 MUTATIONS = [
     "zero label", "swapped endpoint", "alpha/beta mismatch", "self-inverse",
     "missing inverse", "unknown endpoint", "duplicate id", "second component",
+    "bad vertex id", "bad edge id",
 ]
+# ids that word text cannot name: the empty word, the empty id, and ids
+# that hold the exponent mark, the comment mark or whitespace
+BAD_IDS = ("1", "", "a^2", "x#", "y z", "\tv", "w\u00a0")
 
 
 def _mutated(g, rng, kind):
@@ -148,6 +152,20 @@ def _mutated(g, rng, kind):
             vertices.append(rng.choice(vertices))
         else:
             vertices.append(e.name)
+    elif kind == "bad vertex id":  # renamed everywhere it occurs
+        old, new = rng.choice(vertices), rng.choice(BAD_IDS)
+        vertices = [new if v == old else v for v in vertices]
+        edges = [
+            dataclasses.replace(f, src=new if f.src == old else f.src, dst=new if f.dst == old else f.dst)
+            for f in edges
+        ]
+    elif kind == "bad edge id":  # renamed, and so is its pair's inverse
+        new = rng.choice(BAD_IDS)
+        edges = [
+            dataclasses.replace(f, name=new) if f.name == e.name
+            else dataclasses.replace(f, inv=new) if f.inv == e.name else f
+            for f in edges
+        ]
     else:  # a vertex with a loop pair of its own
         vertices.insert(rng.randrange(len(vertices) + 1), "zz")
         edges += [Edge("zy", "zz", "zz", 2, 3, "zY"), Edge("zY", "zz", "zz", 3, 2, "zy")]
@@ -402,6 +420,18 @@ def test_validate_reports_unknown_endpoints():
         parse_factorization("T", g)
     with pytest.raises(GraphError, match="unknown target vertex"):
         parse_graph("vertex a\nvertex b\nedge t a z 2 3 T\nedge T z a 3 2 t\n")
+
+
+def test_validate_reports_ids_that_words_cannot_name():
+    # word text could not name these, and their graph text would not parse back
+    g = GbsGraph(("a^b", "c d"), (Edge("y", "a^b", "c d", 2, 3, "Y#"), Edge("Y#", "c d", "a^b", 3, 2, "y")))
+    assert validate(g) == ["bad vertex id 'a^b'", "bad vertex id 'c d'", "bad edge id 'Y#'"]
+    with pytest.raises(WordError, match="^unknown vertex 'a'$"):
+        parse_factorization("a^b^2 y", g)
+    with pytest.raises(GraphError, match=r"^line 1: bad id 'a\^b'$"):
+        parse_graph(g.to_text())
+    assert validate(GbsGraph(("1",), ())) == ["bad vertex id '1'"]
+    assert validate(GbsGraph(("",), ())) == ["bad vertex id ''"]
 
 
 def _dfs_tree_path(graph, tree, start, goal):

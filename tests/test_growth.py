@@ -6,7 +6,6 @@ import random
 
 from gbs import graphs, monoid
 from gbs.conjugacy import conj_elliptic
-from gbs.graphs import Edge, GbsGraph
 from gbs.monoid import congruent
 import gen
 from conftest import LATTICE_NEGATIVE
@@ -76,24 +75,11 @@ def test_the_relations_are_built_only_once_the_residuals_agree(monkeypatch):
         built.clear()
 
 
-def _cycle_with_chords(rng, vertices: int, chords: int) -> GbsGraph:
-    """A cycle through every vertex plus random extra edge pairs, labels
-    up to 30 in absolute value."""
-    vs = tuple(f"v{i}" for i in range(vertices))
-    ends = [(vs[i], vs[(i + 1) % vertices]) for i in range(vertices)]
-    ends += [(rng.choice(vs), rng.choice(vs)) for _ in range(chords)]
-    edges = []
-    for t, (u, v) in enumerate(ends):
-        a, b = (rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(2))
-        edges += [Edge(f"y{t}", u, v, a, b, f"Y{t}"), Edge(f"Y{t}", v, u, b, a, f"y{t}")]
-    return GbsGraph(vs, tuple(edges))
-
-
 def test_the_lattice_basis_keeps_small_entries_on_graphs_with_many_cycles():
     # an echelon form that never reduces above its pivots reaches 8 and 20
     # digits on these two graphs; the Hermite basis stays within 3
     for vertices, chords in ((50, 50), (100, 25)):
-        graph = _cycle_with_chords(random.Random(vertices), vertices, chords)
+        graph = gen.cycle_with_chords(random.Random(vertices), vertices, chords)
         lattice = monoid.gbs_to_monoid(graph).presentation._lattice
         assert len(lattice) >= vertices - 1
         largest = max(abs(x) for _, row in lattice for x in row)

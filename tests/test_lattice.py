@@ -107,3 +107,16 @@ def test_the_lattice_basis_is_the_hermite_normal_form():
         rng.shuffle(shuffled)
         again = MonPresentation(pres.dim, tuple(shuffled), pres.units)
         assert again._lattice == pres._lattice, pres
+
+
+def test_the_final_hermite_pass_on_graphs_with_many_cycles():
+    # 50 to 100 vertex slots: many pivots are settled before a pivot of a
+    # lower column appears or shrinks, and only the final pass reduces them
+    for vertices, chords in ((50, 50), (100, 25)):
+        rng = random.Random(vertices)
+        pres = gbs_to_monoid(gen.cycle_with_chords(rng, vertices, chords)).presentation
+        _hermite(pres)
+        shuffled = list(pres.relations)
+        rng.shuffle(shuffled)
+        again = MonPresentation(pres.dim, tuple(shuffled), pres.units)
+        assert again._lattice == pres._lattice, (vertices, chords)

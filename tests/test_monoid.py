@@ -7,6 +7,7 @@ from gbs import monoid
 from gbs.conjugacy import ConjVerdict, conjugate
 from gbs.graphs import GbsError, GFactorization, InternalError
 from gbs.monoid import (
+    CongResult,
     MonPresentation,
     Verdict,
     congruent,
@@ -211,9 +212,18 @@ def test_unit_counts_are_checked():
         MonPresentation(2, (((1, 1), (1, 0)),), units=1)
     with pytest.raises(GbsError):
         MonPresentation(1, (), units=2)
+    # every relation difference has unit sum 0, so the lattice test
+    # answers a pair whose unit counts differ
     pres = MonPresentation(2, (((2, 1), (0, 1)),), units=1)
     res = congruent((0, 1), (0, 2), pres)
-    assert res.verdict is Verdict.NOT_CONGRUENT and "unit" in res.reason
+    assert res == CongResult(Verdict.NOT_CONGRUENT, reason="outside the relation lattice")
+    rng = random.Random(209)
+    for _ in range(20):
+        enc = gbs_to_monoid(gen.random_graph(rng, 4, 6, 12))
+        units = enc.presentation.units
+        e = enc.split(enc.graph.vertices[0], 6)[1]
+        f = e[:-units] + tuple(x + 1 for x in e[-units:])
+        assert congruent(e, f, enc.presentation).reason == "outside the relation lattice"
 
 
 def test_translation_invariance_sample():
