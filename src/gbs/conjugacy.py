@@ -251,8 +251,6 @@ def conjugate(
     """
     if v.graph != w.graph:
         raise GbsError("words live over different graphs")
-    if not v.is_closed or not w.is_closed:
-        raise WordError("conjugacy needs closed factorizations")
     graph = v.graph
     vh, zv = cyclically_reduce_with_conjugator(v)
     wh, zw = cyclically_reduce_with_conjugator(w)

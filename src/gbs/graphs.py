@@ -145,16 +145,17 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     Either a single ``bs <p> <q>`` line, or ``vertex <id>`` and
     ``edge <id> <src> <dst> <alpha> <beta> <inv-id>`` lines; ``#`` starts a
     comment.  An id is a token other than ``1`` without ``^``, unique across
-    vertices and edges.  Only the syntax is checked here; with ``check`` (the
-    default) the parsed graph must also pass :func:`validate`, which covers
-    endpoints, inverses, labels and connectivity.
+    vertices and edges.  Without ``check`` only the syntax and the ids are
+    checked; with it (the default) the graph must pass all of
+    :func:`validate`, which also covers endpoints, inverses, labels and
+    connectivity.
 
     Every file is read in one bulk pass: every line split at once,
-    directives and arities checked by counting the rows that match, ids by
-    one set, labels by ``int``, which runs once per distinct label text (a
-    file of a thousand edges spells a handful), and edges as records that
-    then take the class :class:`Edge`.  A file that fails a check builds
-    nothing: :func:`_first_bad_line` scans its lines for the error to report.
+    directives and arities checked by counting the rows that match, labels
+    by ``int``, once per distinct label text (a file of a thousand edges
+    spells a handful), edges as records that take the class :class:`Edge`,
+    and ids once, by :func:`validate`'s id checks.  A failing file's error
+    names its first bad line, or is the checks' report if it has none.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -162,16 +163,12 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     rows = list(filter(None, map(str.split, lines)))
     vertices = [toks[1] for toks in rows if len(toks) == 2 and toks[0] == "vertex"]
     edge_rows = [toks for toks in rows if len(toks) == 7 and toks[0] == "edge"]
-    ids = {*vertices, *(toks[1] for toks in edge_rows)}
     graph = None
     try:
         if len(rows) == 1 and rows[0][0] == "bs":
             _, p, q = rows[0]  # another arity raises ValueError, as int() does
             graph = bs_graph(int(p), int(q))
-        elif (
-            len(vertices) + len(edge_rows) == len(ids) == len(rows)
-            and not _unreadable(ids)
-        ):
+        elif len(vertices) + len(edge_rows) == len(rows):
             num = _LabelTable()
             edges = [_EdgeRecord(n, s, d, num[a], num[b], inv) for _, n, s, d, a, b, inv in edge_rows]
             for e in edges:
@@ -181,23 +178,26 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
         pass
     if graph is None:
         raise GraphError(_first_bad_line(lines))
-    if check:
-        report = validate(graph)
-        if report:
-            raise GraphError("; ".join(report))
+    report = validate(graph) if check else _id_report(graph)
+    if report:
+        raise GraphError(_first_bad_line(lines) or "; ".join(report))
     return graph
 
 
-def _first_bad_line(lines: Sequence[str]) -> str:
-    """The error of a graph file that :func:`parse_graph`'s bulk checks
-    reject, from its comment-stripped lines: ``line <n>: <what>`` for the
-    first line that breaks a rule, the rules tried in a fixed order."""
+def _first_bad_line(lines: Sequence[str]) -> Optional[str]:
+    """Asked when :func:`parse_graph`'s bulk pass or checks fail: ``line <n>:
+    <what>`` for the first of the comment-stripped lines to break a rule,
+    tried in a fixed order, or None if none does (a good ``bs`` line too)."""
     rows = [(lineno, toks) for lineno, toks in enumerate(map(str.split, lines), 1) if toks]
     if len(rows) == 1 and rows[0][1][0] == "bs":
         lineno, toks = rows[0]
-        # a bs line of three tokens is rejected only by int()
-        what = "expected: bs <p> <q>" if len(toks) != 3 else "p and q must be integers"
-        return f"line {lineno}: {what}"
+        if len(toks) != 3:
+            return f"line {lineno}: expected: bs <p> <q>"
+        try:
+            int(toks[1]), int(toks[2])
+        except ValueError:
+            return f"line {lineno}: p and q must be integers"
+        return None
     ids: set[str] = set()
     for lineno, toks in rows:
         kind = toks[0]
@@ -235,19 +235,8 @@ def validate(graph: GbsGraph) -> list[str]:
     any root reaches the same vertices; with a broken one the verdict can
     hang on the root.
     """
-    report: list[str] = []
+    report = ([] if graph.vertices else ["graph has no vertices"]) + _id_report(graph)
     vertex_set, by_name = graph.vertex_set, graph.by_name
-    if not graph.vertices:
-        report.append("graph has no vertices")
-    if len(vertex_set) != len(graph.vertices):
-        report.append("duplicate vertex ids")
-    if len(by_name) != len(graph.edges):
-        report.append("duplicate edge ids")
-    if not vertex_set.isdisjoint(by_name):
-        report.append("vertex and edge ids overlap")
-    for kind, ids in (("vertex", vertex_set), ("edge", by_name)):
-        if _unreadable(ids):
-            report += [f"bad {kind} id {i!r}" for i in sorted(ids) if _unreadable((i,))]
     for e in graph.edges:
         inv = by_name.get(e.inv)
         if e.alpha == 0 or e.beta == 0:
@@ -270,6 +259,21 @@ def validate(graph: GbsGraph) -> list[str]:
             report.append(f"edge {e.name}: alpha differs from beta of inverse")
     if graph.vertices and not graph._tree.keys() >= vertex_set:
         report.append("graph is not connected")
+    return report
+
+
+def _id_report(graph: GbsGraph) -> list[str]:
+    """:func:`validate`'s id checks, in its order, and all of it that
+    ``parse_graph(check=False)`` runs: unique ids that words can name."""
+    vertex_set, by_name = graph.vertex_set, graph.by_name
+    report = [what for what, failed in (
+        ("duplicate vertex ids", len(vertex_set) != len(graph.vertices)),
+        ("duplicate edge ids", len(by_name) != len(graph.edges)),
+        ("vertex and edge ids overlap", not vertex_set.isdisjoint(by_name)),
+    ) if failed]
+    for kind, ids in (("vertex", vertex_set), ("edge", by_name)):
+        if _unreadable(ids):
+            report += [f"bad {kind} id {i!r}" for i in sorted(ids) if _unreadable((i,))]
     return report
 
 

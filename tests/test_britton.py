@@ -66,6 +66,18 @@ def test_rho_examples(example_fact):
     assert rho(example_fact, 0, 1) == (1,)
 
 
+def test_rho_and_sim_c_check_their_positions(example_fact):
+    assert example_fact.n == 8
+    with pytest.raises(IndexError, match=r"^interval \(0, 9\) out of range for n=8$"):
+        rho(example_fact, 0, 9)
+    with pytest.raises(IndexError, match=r"^interval \(2, 1\) out of range for n=8$"):
+        rho(example_fact, 2, 1)
+    with pytest.raises(IndexError, match=r"^positions \(0, 1\) out of range for n=8$"):
+        sim_c(example_fact, 0, 1)
+    with pytest.raises(IndexError, match=r"^positions \(1, 9\) out of range for n=8$"):
+        sim_c(example_fact, 1, 9)
+
+
 def test_rho_explicit_orientation(example_fact):
     assert rho(example_fact, 0, 1, oriented=("Y",)) == (-1,)
     assert rho(example_fact, 0, 3, oriented=("y",)) == (1,)

@@ -66,6 +66,11 @@ def test_conj_hyperbolic_examples(bs23):
     assert conj_hyperbolic(v, v) == (0, 0)
 
 
+def test_conj_hyperbolic_words_of_different_lengths_are_not_conjugate(bs23):
+    assert conj_hyperbolic(fact(bs23, "y"), fact(bs23, "y y")) is None
+    assert conj_hyperbolic(fact(bs23, "y a y a^2"), fact(bs23, "y a")) is None
+
+
 def test_conj_hyperbolic_checks_preconditions(bs23):
     with pytest.raises(WordError):
         conj_hyperbolic(fact(bs23, "a^2"), fact(bs23, "a^2"))

@@ -185,6 +185,12 @@ def test_validate_agrees_with_the_reference_checks():
             report = validate(bad)
             assert report == oracles.validate_reference(bad), kind
             assert report or kind == "swapped endpoint", kind
+    # no vertices, and edge ids both duplicate and bad: the id checks report
+    # after the missing vertices and before the edges
+    g = GbsGraph((), (Edge("1", "a", "b", 1, 2, "y^2"), Edge("1", "b", "a", 2, 1, "1"), Edge("y^2", "b", "a", 2, 1, "1")))
+    report = validate(g)
+    assert report == oracles.validate_reference(g)
+    assert report[:4] == ["graph has no vertices", "duplicate edge ids", "bad edge id '1'", "bad edge id 'y^2'"]
 
 
 def test_parse_word_example(bs23):
@@ -432,6 +438,13 @@ def test_validate_reports_ids_that_words_cannot_name():
         parse_graph(g.to_text())
     assert validate(GbsGraph(("1",), ())) == ["bad vertex id '1'"]
     assert validate(GbsGraph(("",), ())) == ["bad vertex id ''"]
+
+
+def test_factorization_and_concat_check_their_inputs(amalgam):
+    with pytest.raises(WordError, match="^unknown vertex 'z'$"):
+        GFactorization(amalgam, "z", 0, ())
+    with pytest.raises(WordError, match="^nothing to concatenate$"):
+        concat()
 
 
 def _dfs_tree_path(graph, tree, start, goal):
@@ -788,6 +801,27 @@ def test_well_formed_files_are_read_once(monkeypatch):
     g = gen.random_graph(random.Random(17), 5, 8)
     assert parse_graph(g.to_text()) == g
     assert parse_graph(TREE_TEXT).to_text() == TREE_TEXT
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_a_load_scans_each_id_once(monkeypatch, check):
+    # the loader checks ids only by validate's id checks, which test each id
+    # in one collection of vertex ids or of edge names
+    scanned = []
+    real = graphs._unreadable
+    monkeypatch.setattr(graphs, "_unreadable", lambda ids: scanned.append(len(ids)) or real(ids))
+    g = parse_graph(TREE_TEXT, check=check)
+    assert sum(scanned) == len(g.vertices) + len(g.edges) == 2398
+
+
+def test_a_file_whose_lines_keep_the_rules_fails_with_the_checks_report():
+    assert graphs._first_bad_line(["bs 0 3"]) is None
+    assert graphs._first_bad_line(["vertex a", "edge y a b 0 2 Y"]) is None
+    with pytest.raises(GraphError, match="^edge y: zero label; edge Y: zero label$"):
+        parse_graph("bs 0 3\n")
+    assert parse_graph("bs 0 3\n", check=False) == graphs.bs_graph(0, 3)
+    with pytest.raises(GraphError, match="^line 2: bad id '1'$"):
+        parse_graph("vertex a\nvertex 1\n", check=False)
 
 
 def test_a_loaded_edge_is_an_edge_value_built_without_its_constructor(monkeypatch):

@@ -355,3 +355,16 @@ def test_round_trip_consistency_random():
         )
         assert (mon.verdict is Verdict.CONGRUENT) == (conj.verdict is ConjVerdict.CONJUGATE)
         assert mon.verdict is not Verdict.UNKNOWN and conj.verdict is not ConjVerdict.UNKNOWN
+
+
+def test_presentations_and_vectors_check_their_inputs():
+    with pytest.raises(GbsError, match="^relation dimension mismatch$"):
+        MonPresentation(2, (((1, 0), (0, 1, 0)),))
+    with pytest.raises(GbsError, match="^relation entries must be naturals$"):
+        MonPresentation(2, (((1, -1), (0, 1)),))
+    with pytest.raises(GbsError, match="^vectors must be naturals$"):
+        congruent((1, -1), (0, 1), SWAP)
+    with pytest.raises(GbsError, match="^malformed vector '1,x'$"):
+        parse_vector("1,x")
+    with pytest.raises(GbsError, match="^vector dimension mismatch$"):
+        monoid_to_gbs(SWAP, (1, 0, 0), (0, 1))
