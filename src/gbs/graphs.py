@@ -85,8 +85,9 @@ class GbsGraph:
     vertex ids, and ``by_name``, each edge name's :class:`Edge` (source,
     target, labels, inverse).  The private ``_out`` lists each vertex's
     out-edges as :class:`Edge` records in file order, for :func:`_search`;
-    :meth:`out_edges` gives their names.  Deeper well-formedness lives in
-    :func:`validate`."""
+    :meth:`out_edges` gives their names, and the private ``_id_problems``
+    holds :func:`validate`'s id checks, made once per graph so that a load
+    scans each id once.  Deeper well-formedness lives in :func:`validate`."""
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices = tuple(vertices)
@@ -98,6 +99,7 @@ class GbsGraph:
             if e.src in out:
                 out[e.src].append(e)
         self._out = out
+        self._id_problems = tuple(_id_report(self))
 
     def __eq__(self, other):
         return (
@@ -154,8 +156,10 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
     directives and arities checked by counting the rows that match, labels
     by ``int``, once per distinct label text (a file of a thousand edges
     spells a handful), edges as records that take the class :class:`Edge`,
-    and ids once, by :func:`validate`'s id checks.  A failing file's error
-    names its first bad line, or is the checks' report if it has none.
+    and ids once, by :func:`validate`'s id checks, which the graph keeps.
+    A file that breaks an id rule goes straight to its first bad line,
+    before any other check.  A failing file's error names its first bad
+    line, or is the checks' report if it has none.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -178,7 +182,9 @@ def parse_graph(text: str, *, check: bool = True) -> GbsGraph:
         pass
     if graph is None:
         raise GraphError(_first_bad_line(lines))
-    report = validate(graph) if check else _id_report(graph)
+    report = graph._id_problems
+    if check and not report:  # a file that breaks an id rule is named by its first bad line
+        report = validate(graph)
     if report:
         raise GraphError(_first_bad_line(lines) or "; ".join(report))
     return graph
@@ -235,7 +241,7 @@ def validate(graph: GbsGraph) -> list[str]:
     any root reaches the same vertices; with a broken one the verdict can
     hang on the root.
     """
-    report = ([] if graph.vertices else ["graph has no vertices"]) + _id_report(graph)
+    report = ([] if graph.vertices else ["graph has no vertices"]) + list(graph._id_problems)
     vertex_set, by_name = graph.vertex_set, graph.by_name
     for e in graph.edges:
         inv = by_name.get(e.inv)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge, mul, sub
@@ -45,8 +46,9 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class MonPresentation:
     """Relations over vectors of length ``dim``.  The last ``units``
-    coordinates, when there are any, count vertex units: both sides of
-    every relation hold as many, so every move keeps a vector's count."""
+    coordinates, when there are any, are vertex units: every relation side
+    holds exactly one, so every move keeps a vector's unit count, and the
+    completion keeps one rule table per vertex (see :func:`_complete`)."""
 
     dim: int
     relations: tuple[tuple[ExpVec, ExpVec], ...]
@@ -60,8 +62,8 @@ class MonPresentation:
                 raise GbsError("relation dimension mismatch")
             if min(r + s, default=0) < 0:
                 raise GbsError("relation entries must be naturals")
-            if self.units and sum(r[-self.units:]) != sum(s[-self.units:]):
-                raise GbsError("relation sides hold different unit counts")
+            if self.units and not sum(r[-self.units:]) == sum(s[-self.units:]) == 1:
+                raise GbsError("every relation side must hold exactly one unit")
 
     @cached_property
     def deltas(self) -> tuple[ExpVec, ...]:
@@ -83,12 +85,15 @@ class MonPresentation:
         and the difference by their extended-gcd combination, the column's
         new pivot, and a row that vanishes in the column.  Every step is
         unimodular, so the pivots and what is left span L.  :func:`_settle`
-        reduces each new pivot by those below it, which keeps entries small;
-        one final pass, lowest column first, reduces each pivot by the final
-        pivots below it and so establishes the Hermite condition.  An
+        reduces each new pivot by those below it, which keeps entries small.
+        One final pass, lowest column first, establishes the Hermite
+        condition: it reduces each pivot by the final pivots at and below the
+        highest lower column settled after it, as the columns between were
+        last settled before it and so already keep its entries in range.  An
         encoding's unit slots (:class:`MonoidEncoding`) come last and hold
         only 0 and +-1 in every difference, so they pivot on 1 first."""
         pivots: list = [None] * self.dim  # the pivot of each column, if any
+        settled: list = []  # the columns in the order their pivots were settled, with repeats
         columns = range(self.dim - 1, -1, -1)
         for row in dict.fromkeys(self.deltas):
             for c in columns:
@@ -97,7 +102,7 @@ class MonPresentation:
                     continue
                 pivot = pivots[c]
                 if pivot is None:
-                    _settle(pivots, c, row if b > 0 else tuple([-x for x in row]))
+                    _settle(pivots, settled, c, row if b > 0 else tuple([-x for x in row]))
                     break
                 a = pivot[c]
                 q, b = divmod(b, a)
@@ -107,13 +112,20 @@ class MonPresentation:
                     g = math.gcd(a, b)
                     x, m = arith.solve_congruence(a, g, b)  # x*a + y*b = g, and m = b/g
                     y = (g - x * a) // b
-                    _settle(pivots, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
+                    _settle(pivots, settled, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
                     row = tuple([m * u - a // g * v for u, v in zip(pivot, row)])
-        basis: list = []  # the final pivots so far, descending
+        last = {c: t for t, c in enumerate(settled)}  # when each pivot was last settled
+        basis: list = []  # the final pivots so far, ascending
+        # (when settled, pivots in basis up to it), each settled after all
+        # above it; the first entry stands for a settle after every one
+        later = [(len(settled), 0)]
         for c, pivot in enumerate(pivots):
             if pivot:
-                basis.insert(0, (c, _reduced(pivot, basis)))
-        return tuple(basis)
+                while later[-1][0] < last[c]:
+                    later.pop()  # later[-1] is now the highest lower column settled after c
+                basis.append((c, _reduced(pivot, reversed(basis[:later[-1][1]]))))
+                later.append((last[c], len(basis)))
+        return tuple(basis[::-1])
 
     def in_lattice(self, t: Sequence[int]) -> bool:
         """Whether the integer vector t lies in the relation lattice L.  The
@@ -122,12 +134,13 @@ class MonPresentation:
         return not any(_reduced(t, self._lattice))
 
 
-def _settle(pivots: list, c: int, row: ExpVec) -> None:
+def _settle(pivots: list, settled: list, c: int, row: ExpVec) -> None:
     """Make row, positive in column c and zero after it, the pivot of c,
-    reduced by the pivots below c as they stand.  The pivots above c are
-    left as they are until the final pass of ``_lattice`` establishes the
-    Hermite condition."""
+    reduced by the pivots below c as they stand, and append c to settled.
+    The pivots above c are left as they are until the final pass of
+    ``_lattice`` establishes the Hermite condition."""
     pivots[c] = _reduced(row, [(d, pivots[d]) for d in range(c - 1, -1, -1) if pivots[d]])
+    settled.append(c)
 
 
 def _reduced(row: Sequence[int], pivots: Sequence[tuple[int, ExpVec]]) -> Sequence[int]:
@@ -170,13 +183,14 @@ def _reverse(steps: Sequence[PathStep]) -> list[PathStep]:
     return [(j, -d) for j, d in reversed(steps)]
 
 
-def _normal_form(v: ExpVec, rules: dict) -> tuple[ExpVec, list[PathStep]]:
-    """Rewrite v by the first rule ``lhs: (rhs - lhs, equation, top)`` that
-    fits, ``top`` tested first, until none does; the form and the steps."""
+def _normal_form(v: ExpVec, tables: dict, cut: int) -> tuple[ExpVec, list[PathStep]]:
+    """Rewrite v by the first rule ``lhs: (rhs - lhs, equation)`` that fits
+    in the table of its vertex, its unit slots ``v[cut:]``, until none does;
+    the form and the steps."""
     steps = []
     while True:
-        for lhs, (delta, i, top) in rules.items():
-            if v[top] >= lhs[top] and all(map(ge, v, lhs)):
+        for lhs, (delta, i) in tables[v[cut:]].items():
+            if all(map(ge, v, lhs)):
                 v = tuple(map(add, v, delta))
                 steps.append((i, 1))
                 break
@@ -192,29 +206,35 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     steps ``(j, d)`` that apply equation j forwards (d = 1) or backwards
     (d = -1) and name only earlier equations.  The first equations are the
     relations themselves, with path None.  ``rules`` is the rewriting
-    system, an ordered table ``u: (v - u, j, top)`` keyed by left side, with
-    u above v in the graded order, equation j proving u = v and ``top`` the
-    index of u's last nonzero coordinate, tested before all of u; the other
-    equations stay only as derivations.  A new rule goes at the end; the
-    rules whose left side it divides are deleted (their equations are
-    resolved again), and the right sides it divides are rewritten in place.
-    Rewriting applies the first rule in table order that fits.  A critical
-    pair names its two left sides and is resolved, in the order of its lcm,
-    with the right sides the table holds then.  It is skipped when the two
-    left sides share no coordinate (Buchberger's first criterion), when the
-    lcm holds more units than e (moves keep the unit count, so no vector
-    congruent to e meets such a pair), or when a coordinate of the lcm
-    exceeds ``bound``.  After each new rule, e and f are rewritten further.
+    system, an ordered table ``u: (v - u, j)`` keyed by left side, with u
+    above v in the graded order and equation j proving u = v; the other
+    equations stay only as derivations.  ``tables`` holds the same rules by
+    vertex, in the same order: a vector's vertex is its unit slots
+    ``u[cut:]``, empty without units.  Every vector met here holds one unit,
+    so a rule never fits a vector of another vertex and no critical pair
+    joins two vertices: rewriting, deleting and pairing read one table.  A
+    new rule goes at the end; the rules whose left side it divides are
+    deleted (their equations are resolved again), and the right sides it
+    divides, of any vertex, are rewritten in place in the order of
+    ``rules``.  Rewriting applies the first rule in table order that fits.
+    A critical pair names its two left sides and is resolved, in the order
+    of its lcm, with the right sides the table holds then.  It is skipped
+    when the two left sides share no coordinate (Buchberger's first
+    criterion), or when a coordinate of the lcm exceeds ``bound``.  After
+    each new rule, e and f are rewritten further.  A pair holding more than
+    one unit is refused with :class:`GbsError`.
 
     Returns ``(eqs, steps, capped)``: steps over ``eqs`` lead from e to f,
     or are None when the normal forms stay apart; ``capped`` says whether a
     pair skipped for the bound has both its left sides still in the table.
     """
-    units = pres.units
-    degree = sum(e[-units:]) if units else 0
+    cut = pres.dim - pres.units
+    if sum(e[cut:]) > 1 or sum(f[cut:]) > 1:
+        raise GbsError("the completion takes vectors of at most one unit")
     eqs: list = [(r, s, None) for r, s in pres.relations]
     todo = [(r, s, ((j, 1),)) for j, (r, s) in enumerate(pres.relations)][::-1]
-    rules: dict = {}  # lhs -> (rhs - lhs, equation, last nonzero coordinate of lhs)
+    # lhs -> (rhs - lhs, equation), and unit slots -> the rules of that vertex
+    rules, tables = {}, defaultdict(dict)
     # A pair is live while both its left sides are keys; a rewritten right
     # side keeps its key.  A deleted left side stays divisible by some
     # rule's left side (a rule is only deleted for one that divides it),
@@ -230,12 +250,12 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
             _, _, _, a, b = heapq.heappop(pairs)
             if a not in rules or b not in rules:
                 continue
-            (da, i, _), (db, j, _) = rules[a], rules[b]
+            (da, i), (db, j) = rules[a], rules[b]
             lcm = tuple(map(max, a, b))
             u, v = tuple(map(add, lcm, da)), tuple(map(add, lcm, db))
             path = ((i, -1), (j, 1))
-        u, pu = _normal_form(u, rules)
-        v, pv = _normal_form(v, rules)
+        u, pu = _normal_form(u, tables, cut)
+        v, pv = _normal_form(v, tables, cut)
         if u == v:
             continue
         path = _reverse(pu) + list(path) + pv
@@ -243,36 +263,35 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
             u, v, path = v, u, _reverse(path)
         new = len(eqs)
         eqs.append((u, v, tuple(path)))
-        top = max(t for t, x in enumerate(u) if x)  # u > v >= 0, so u is not zero
-        for lhs in [lhs for lhs in rules if lhs[top] >= u[top] and all(map(ge, lhs, u))]:
+        table = tables[u[cut:]]
+        for lhs in [lhs for lhs in table if all(map(ge, lhs, u))]:
+            del table[lhs]
             k = rules.pop(lhs)[1]
             todo.append((lhs, eqs[k][1], ((k, 1),)))
-        rules[u] = (tuple(map(sub, v, u)), new, top)
-        for lhs, (_, k, lhs_top) in rules.items():
+        rules[u] = table[u] = (tuple(map(sub, v, u)), new)
+        top = max(t for t, x in enumerate(u) if x)  # u > v >= 0, so u is not zero
+        for lhs, (_, k) in rules.items():
             rhs = eqs[k][1]
             if rhs[top] >= u[top] and all(map(ge, rhs, u)):  # never the new rule: v lies below u
-                rhs, steps = _normal_form(rhs, rules)
-                rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs), lhs_top)
+                rhs, steps = _normal_form(rhs, tables, cut)
+                rules[lhs] = tables[lhs[cut:]][lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
                 eqs.append((lhs, rhs, ((k, 1), *steps)))
-        for lhs, (_, k, _) in rules.items():
+        for lhs, (_, k) in table.items():
             # k == new: u itself; the left sides share a coordinate where x * y > 0
             if k == new or not any(map(mul, lhs, u)):
                 continue
             lcm = tuple(map(max, lhs, u))
-            if units and sum(lcm[-units:]) > degree:
-                continue
             if bound is not None and max(lcm) > bound:
                 capped.append((lhs, u))
                 continue
             heapq.heappush(pairs, (_key(lcm), k, new, lhs, u))
         for end, (w, steps) in enumerate(ends):
-            if w[top] >= u[top] and all(map(ge, w, u)):  # only the new rule can apply to an end
-                w, more = _normal_form(w, rules)
+            if all(map(ge, w, u)):  # only the new rule can apply to an end
+                w, more = _normal_form(w, tables, cut)
                 ends[end] = (w, steps + more)
         if ends[0][0] == ends[1][0]:
             return eqs, ends[0][1] + _reverse(ends[1][1]), False
-    stopped = any(a in rules and b in rules for a, b in capped)
-    return eqs, None, stopped
+    return eqs, None, any(a in rules and b in rules for a, b in capped)
 
 
 def _cut_loops(start: ExpVec, path: Sequence[PathStep], pres: MonPresentation) -> list[PathStep]:
@@ -340,7 +359,9 @@ def congruent(
     ``bound`` caps the coordinates of the critical pairs the completion
     resolves: when the normal forms differ and it skipped a pair whose two
     left sides are both still rules at the end, the verdict is UNKNOWN.
-    Without a bound the completion always ends, by Dickson's lemma.
+    Without a bound the completion always ends, by Dickson's lemma.  It
+    keeps one rule table per vertex, so in a presentation with units it
+    refuses, with :class:`GbsError`, a pair that holds more than one unit.
     """
     e, f = tuple(e), tuple(f)
     if len(e) != pres.dim or len(f) != pres.dim:
@@ -423,9 +444,10 @@ class MonoidEncoding:
     every move.  Each inverse-edge pair contributes one relation identifying
     alpha at the source with beta at the target; each vertex gets a sign
     relation absorbing squared signs.  Every relation side holds one vertex
-    unit, so the vertex slots are the presentation's units: the completion
-    for a vertex power never resolves a critical pair of two different
-    vertices.  Relation i is ``edges[i]``, the ``orientation(graph)[i]``
+    unit, so the vertex slots are the presentation's units, and the
+    completion for a vertex power keeps one rule table per vertex: a rule of
+    one vertex never fits a vector of another, and no critical pair joins
+    two vertices.  Relation i is ``edges[i]``, the ``orientation(graph)[i]``
     edge, while i is below the number of pairs, a sign relation after;
     applied r->s, it conjugates by the edge's inverse, s->r by the edge.
     """

@@ -226,6 +226,33 @@ def test_unit_counts_are_checked():
         assert congruent(e, f, enc.presentation).reason == "outside the relation lattice"
 
 
+def test_every_relation_side_holds_exactly_one_unit():
+    # the completion keeps one rule table per vertex, so a side with no
+    # unit or with two is refused, even where both sides hold as many
+    for r, s in (((1, 0, 0), (2, 0, 0)), ((1, 1, 1), (0, 1, 1)), ((1, 2, 0), (0, 1, 1))):
+        with pytest.raises(GbsError, match="^every relation side must hold exactly one unit$"):
+            MonPresentation(3, ((r, s),), units=2)
+    pres = MonPresentation(3, (((1, 1, 0), (0, 0, 1)), ((2, 0, 1), (0, 0, 1))), units=2)
+    assert congruent((1, 1, 0), (2, 0, 1), pres).path == ((0, 1), (1, -1))
+
+
+def test_the_completion_refuses_a_pair_holding_more_than_one_unit():
+    # no caller builds such a pair: a vertex power holds one unit, and a
+    # pair whose unit counts differ is answered by the lattice first
+    pres = MonPresentation(2, (((2, 1), (0, 1)),), units=1)
+    with pytest.raises(GbsError, match="^the completion takes vectors of at most one unit$"):
+        congruent((2, 2), (0, 2), pres)
+    assert congruent((2, 1), (0, 1), pres).verdict is Verdict.CONGRUENT
+    enc = gbs_to_monoid(gen.random_graph(random.Random(26), 4, 6, 12))
+    pres = enc.presentation
+    for r, s in pres.relations:
+        doubled = tuple(x + y for x, y in zip(r, (0,) * (pres.dim - pres.units) + r[-pres.units:]))
+        f = tuple(x - y + z for x, y, z in zip(doubled, r, s))
+        assert pres.in_lattice(tuple(y - x for x, y in zip(doubled, f)))
+        with pytest.raises(GbsError, match="at most one unit"):
+            congruent(doubled, f, pres)
+
+
 def test_translation_invariance_sample():
     rng = random.Random(55)
     pres = MonPresentation(3, (((1, 0, 2), (0, 1, 0)), ((0, 2, 0), (1, 0, 1))))
