@@ -87,13 +87,10 @@ class MonPresentation:
         unimodular, so the pivots and what is left span L.  :func:`_settle`
         reduces each new pivot by those below it, which keeps entries small.
         One final pass, lowest column first, establishes the Hermite
-        condition: it reduces each pivot by the final pivots at and below the
-        highest lower column settled after it, as the columns between were
-        last settled before it and so already keep its entries in range.  An
+        condition: it reduces each pivot by every final pivot below it.  An
         encoding's unit slots (:class:`MonoidEncoding`) come last and hold
         only 0 and +-1 in every difference, so they pivot on 1 first."""
         pivots: list = [None] * self.dim  # the pivot of each column, if any
-        settled: list = []  # the columns in the order their pivots were settled, with repeats
         columns = range(self.dim - 1, -1, -1)
         for row in dict.fromkeys(self.deltas):
             for c in columns:
@@ -102,7 +99,7 @@ class MonPresentation:
                     continue
                 pivot = pivots[c]
                 if pivot is None:
-                    _settle(pivots, settled, c, row if b > 0 else tuple([-x for x in row]))
+                    _settle(pivots, c, row if b > 0 else tuple([-x for x in row]))
                     break
                 a = pivot[c]
                 q, b = divmod(b, a)
@@ -112,19 +109,12 @@ class MonPresentation:
                     g = math.gcd(a, b)
                     x, m = arith.solve_congruence(a, g, b)  # x*a + y*b = g, and m = b/g
                     y = (g - x * a) // b
-                    _settle(pivots, settled, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
+                    _settle(pivots, c, tuple([x * u + y * v for u, v in zip(pivot, row)]))
                     row = tuple([m * u - a // g * v for u, v in zip(pivot, row)])
-        last = {c: t for t, c in enumerate(settled)}  # when each pivot was last settled
         basis: list = []  # the final pivots so far, ascending
-        # (when settled, pivots in basis up to it), each settled after all
-        # above it; the first entry stands for a settle after every one
-        later = [(len(settled), 0)]
         for c, pivot in enumerate(pivots):
             if pivot:
-                while later[-1][0] < last[c]:
-                    later.pop()  # later[-1] is now the highest lower column settled after c
-                basis.append((c, _reduced(pivot, reversed(basis[:later[-1][1]]))))
-                later.append((last[c], len(basis)))
+                basis.append((c, _reduced(pivot, reversed(basis))))
         return tuple(basis[::-1])
 
     def in_lattice(self, t: Sequence[int]) -> bool:
@@ -134,13 +124,12 @@ class MonPresentation:
         return not any(_reduced(t, self._lattice))
 
 
-def _settle(pivots: list, settled: list, c: int, row: ExpVec) -> None:
+def _settle(pivots: list, c: int, row: ExpVec) -> None:
     """Make row, positive in column c and zero after it, the pivot of c,
-    reduced by the pivots below c as they stand, and append c to settled.
-    The pivots above c are left as they are until the final pass of
-    ``_lattice`` establishes the Hermite condition."""
+    reduced by the pivots below c as they stand.  The pivots above c are
+    left as they are until the final pass of ``_lattice`` establishes the
+    Hermite condition."""
     pivots[c] = _reduced(row, [(d, pivots[d]) for d in range(c - 1, -1, -1) if pivots[d]])
-    settled.append(c)
 
 
 def _reduced(row: Sequence[int], pivots: Sequence[tuple[int, ExpVec]]) -> Sequence[int]:

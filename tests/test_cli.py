@@ -689,16 +689,37 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, argv):
     assert code in (0, 1, 2) and capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv, out", [
-    (["conj", "--literal", "--witness", "{graph}", "a y", "y"], "conjugate\na^2\n"),
-    (["wp", "--literal", "{graph}", "y a^2 Y a^-3"], "trivial\n"),
+# -O strips every assert: the witness checks must be plain code.  -OO also
+# strips docstrings, and the help text is built from the cli module's
+# docstring.  -W error turns any warning into an exception, and -X dev
+# enables the deprecation and resource warnings hidden by default.
+DEV = ["-W", "error", "-X", "dev"]
+POWERS = ["conj", "--literal", "--witness", "{graph}", "a^2", "a^3"]
+WP = ["wp", "--literal", "{graph}", "y a^2 Y a^-3"]
+
+
+@pytest.mark.parametrize("flags, argv, out", [
+    (["-O"], ["conj", "--literal", "--witness", "{graph}", "a y", "y"], "conjugate\na^2\n"),
+    (["-O"], WP, "trivial\n"),
+    (["-OO"], ["--help"], "usage: gbs [-h] {validate,wp,reduce,cyc-reduce,conj,monoid,convert} ..."),
+    (["-OO"], POWERS, "conjugate\ny\n"),
+    (DEV, POWERS, "conjugate\ny\n"),
+    (DEV, WP, "trivial\n"),
+    # two vertices, whose completion keeps a rule table per vertex
+    (DEV, ["conj", "--literal", "--witness", "{two}", "a^4", "b^6"], "conjugate\nY\n"),
+], ids=[
+    "O-conj-witness", "O-wp", "OO-help", "OO-conj-witness", "dev-conj-witness", "dev-wp",
+    "dev-two-vertex-conj-witness",
 ])
-def test_the_program_runs_under_python_O(bs_path, argv, out):
-    # -O strips every assert: the witness checks must be plain code
+def test_the_program_runs_under_python_O(bs_path, tmp_path, flags, argv, out):
+    two = tmp_path / "two.graph"
+    two.write_text("vertex a\nvertex b\nedge y a b 2 3 Y\nedge Y b a 3 2 y\n")
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [a.format(graph=bs_path) for a in argv]
+    argv = [a.format(graph=bs_path, two=two) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "gbs", *argv], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-m", "gbs", *argv], env=env, capture_output=True, text=True
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    # of the help, its first line: the usage
+    got = proc.stdout.partition("\n")[0] if argv == ["--help"] else proc.stdout
+    assert (proc.returncode, got, proc.stderr) == (0, out, "")
