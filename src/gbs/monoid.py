@@ -283,6 +283,33 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     return eqs, None, any(a in rules and b in rules for a, b in capped)
 
 
+def _support(v: ExpVec) -> int:
+    """The coordinates where v is nonzero, as a bit mask."""
+    return sum(1 << i for i, x in enumerate(v) if x)
+
+
+def _reach(v: ExpVec, pres: MonPresentation) -> int:
+    """The coordinates that a vector congruent to v can hold, as a bit
+    mask: those of v, and the coordinates of every side that a move puts in
+    once each coordinate of the side it takes away has been reached.  A
+    move fits only a vector that holds the side it takes away, so every
+    vector on a chain of moves from v holds reached coordinates only.
+
+    The first move of a chain must fit v itself, not just its support, but
+    that adds nothing here: a move that fits v opens anyway, and a v that
+    no move fits has already been answered by :func:`congruent`."""
+    moves = [(_support(a), _support(b)) for r, s in pres.relations for a, b in ((r, s), (s, r))]
+    reached = _support(v)
+    grown = True
+    while grown:
+        grown = False
+        for away, put in moves:
+            if not away & ~reached and put & ~reached:
+                reached |= put
+                grown = True
+    return reached
+
+
 def _cut_loops(start: ExpVec, path: Sequence[PathStep], pres: MonPresentation) -> list[PathStep]:
     """The relation path from start with every stretch that comes back to an
     earlier vector cut out."""
@@ -346,9 +373,12 @@ def congruent(
     Equal normal forms give CONGRUENT with a relation path from e to f,
     replayed before it is returned; distinct ones give NOT_CONGRUENT.
     ``bound`` caps the coordinates of the critical pairs the completion
-    resolves: when the normal forms differ and it skipped a pair whose two
-    left sides are both still rules at the end, the verdict is UNKNOWN.
-    Without a bound the completion always ends, by Dickson's lemma.  It
+    resolves.  When the normal forms differ and it skipped a pair whose two
+    left sides are both still rules at the end, the completion stops short.
+    Then a vector that holds a coordinate the other's moves never reach
+    (:func:`_reach`) is NOT_CONGRUENT with the reason ``support out of
+    reach``, and any other pair is UNKNOWN.  Without a bound the completion
+    always ends, by Dickson's lemma.  It
     keeps one rule table per vertex, so in a presentation with units it
     refuses, with :class:`GbsError`, a pair that holds more than one unit.
     """
@@ -366,9 +396,11 @@ def congruent(
         return CongResult(Verdict.NOT_CONGRUENT, reason="outside the relation lattice")
     eqs, steps, stopped = _complete(e, f, pres, bound)
     if steps is None:
-        if stopped:
-            return CongResult(Verdict.UNKNOWN, reason=f"completion capped at bound {bound}")
-        return CongResult(Verdict.NOT_CONGRUENT, reason="distinct normal forms")
+        if not stopped:
+            return CongResult(Verdict.NOT_CONGRUENT, reason="distinct normal forms")
+        if _support(f) & ~_reach(e, pres) or _support(e) & ~_reach(f, pres):
+            return CongResult(Verdict.NOT_CONGRUENT, reason="support out of reach")
+        return CongResult(Verdict.UNKNOWN, reason=f"completion capped at bound {bound}")
     path = _relation_path(e, steps, eqs, pres)
     try:
         end = replay_path(e, path, pres)

@@ -3,8 +3,9 @@
     python tests/mutate.py [MODULE FUNCTION ...] [--tests TEST ...]
 
 Each mutant is one small edit, made with ``ast`` to a temporary copy of the
-repository's ``src/gbs``, ``tests`` and ``pyproject.toml``, inside the named
-functions of ``src/gbs/<MODULE>.py``:
+repository's ``src/gbs``, ``tests``, ``pyproject.toml`` and the reference
+that the tests load, ``perfbench/oracle.py``, inside the named functions of
+``src/gbs/<MODULE>.py``:
 
 - a comparison flipped to its negation (``<`` to ``>=``, ``==`` to ``!=``,
   ``is`` to ``is not``, ``in`` to ``not in``)
@@ -132,6 +133,8 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / "src" / "gbs", top / "src" / "gbs")
         shutil.copytree(ROOT / "tests", top / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", top)
+        (top / "perfbench").mkdir()
+        shutil.copy(ROOT / "perfbench" / "oracle.py", top / "perfbench")
         target = top / "src" / "gbs" / f"{args.module}.py"
         # mutants are written back by ast.unparse, so the baseline is too
         target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")

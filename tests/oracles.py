@@ -1,36 +1,58 @@
-"""Reference implementations that the tests compare the fast paths against.
+"""The tests' side of the reference implementations.
 
-Everything here is deliberately naive: leftmost-first rewriting with list
-deletions, cyclic reduction by rotating the last edge round to the front,
-chain search over vertex powers, brute-force conjugacy over a radius, and the
-closed formula for the one-loop group.  Words are sequences of letters, the
-:class:`VertexPower` and :class:`EdgeLetter` values defined here; the
-package itself has none.  :func:`parse_word` reads text into letters and is
-the reference grammar for ``parse_factorization``.  Witnesses are replayed
-through the rewriting reducer, after joining them letter by letter with
-:func:`to_factorization`, the reference for ``parse_factorization`` and
-``concat``.  :func:`parse_graph_lines` reads a graph file one line at a
-time and is the reference reader for ``parse_graph``: its graphs and its
-error texts.  :func:`validate_reference` runs every check of ``validate``
-on every edge.  From ``gbs`` this module uses only the data types and
-errors of :mod:`gbs.graphs` and the :class:`ConjVerdict` enum, so a
-cross-check never runs the code it checks
-(``tests/test_source.py::test_oracles_share_no_code_with_the_fast_paths``).
+Britton reduction, reducedness, witness replay and exact conjugacy are
+checked against the benchmark's oracle, ``perfbench/oracle.py``, loaded
+here as it is as :data:`ref`.  It imports nothing from ``gbs``, so a fault
+in the package's data types cannot also hide in the reference that checks
+them.  :func:`to_ref` is the one boundary: it turns a graph's words into
+the reference's values.
+
+What stays here builds ``gbs`` objects or has no counterpart there.  Words
+are sequences of letters, the :class:`VertexPower` and :class:`EdgeLetter`
+values defined here.  :func:`parse_word` is the reference grammar for
+``parse_factorization``, :func:`to_factorization` and :func:`join` the
+references for ``parse_factorization`` and ``concat``, and
+:func:`parse_graph_lines` the line-at-a-time reader that ``parse_graph``
+must match, error texts included.  :func:`validate_reference` runs every
+check of ``validate`` on every edge.  :func:`cyclically_reduce_naive`
+gives the conjugator letters that cyclic reduction must match byte for
+byte.  :func:`elliptic_closure` is a chain search within a radius, which
+:func:`conjugacy_reference` falls back on where the reference refuses an
+unbounded orbit, and :func:`conj_elliptic_bs` the closed formula for the
+one-loop group.  From ``gbs`` this module takes only the data types and
+errors of :mod:`gbs.graphs`, so a cross-check never runs the code it
+checks (``tests/test_source.py``).
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from gbs.conjugacy import ConjVerdict
-from gbs.graphs import (
-    Edge,
-    GbsError,
-    GbsGraph,
-    GFactorization,
-    GraphError,
-    WordError,
-)
+from gbs.graphs import Edge, GbsError, GbsGraph, GFactorization, GraphError, WordError
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+ref = _load_reference()
+
+
+def to_ref(*words: GFactorization) -> tuple:
+    """Each word as the reference's ``Word``, then the reference's ``Graph``
+    for their graph: the order in which the reference's functions take
+    them."""
+    g = words[0].graph
+    edges = [ref.Edge(e.name, e.src, e.dst, e.alpha, e.beta, e.inv) for e in g.edges]
+    return (*(ref.Word(f.base, f.k0, tuple(f.steps)) for f in words), ref.Graph(g.vertices, edges))
 
 
 @dataclass(frozen=True)
@@ -70,7 +92,6 @@ def parse_word(text: str, graph: GbsGraph) -> tuple[Letter, ...]:
         else:
             raise WordError(f"unknown id {tok!r}")
     return tuple(word)
-
 
 
 def parse_graph_lines(text: str) -> GbsGraph:
@@ -240,57 +261,28 @@ def join(*parts: GFactorization) -> GFactorization:
     return to_factorization(word, parts[0].graph)
 
 
-def britton_reduce_naive(f: GFactorization) -> GFactorization:
-    """Repeatedly contract the leftmost factor ``y v^k Y`` with beta(y) | k
-    into a vertex power, merging adjacent powers."""
-    g = f.graph
-    exps = [f.k0] + [k for _, k in f.steps]
-    names = [""] + [name for name, _ in f.steps]
-    r = 1
-    while r < len(names) - 1:
-        e = g.by_name[names[r]]
-        if names[r + 1] == e.inv and exps[r] % e.beta == 0:
-            exps[r - 1] += e.alpha * (exps[r] // e.beta) + exps[r + 1]
-            del names[r : r + 2]
-            del exps[r : r + 2]
-            r = max(1, r - 1)
-        else:
-            r += 1
-    return GFactorization(g, f.base, exps[0], tuple(zip(names[1:], exps[1:])))
+def cyclically_reduce_naive(f: GFactorization) -> tuple:
+    """Cyclic reduction, as the reference's ``Word``, and the letters of z
+    with ``result = z f z^-1``.
 
-
-def is_britton_reduced(f: GFactorization) -> bool:
-    """No factor ``y v^k Y`` with beta(y) dividing k."""
-    by_name = f.graph.by_name
-    for r in range(f.n - 1):
-        name, k = f.steps[r]
-        if f.steps[r + 1][0] == by_name[name].inv and k % by_name[name].beta == 0:
-            return False
-    return True
-
-
-def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Letter, ...]]:
-    """Cyclic reduction and the letters of z with ``result = z f z^-1``.
-
-    Reduce with the rewriting oracle.  While two or more edges are left,
-    conjugate the last edge and its power round to the front, where it
-    absorbs the leading vertex power, and reduce again; keep the rotation
-    only if the seam pair contracted.  A leftover leading power is finally
-    conjugated onto the last exponent.
+    Reduce with the reference's ``naive_reduce``.  While two or more edges
+    are left, conjugate the last edge and its power round to the front,
+    where it absorbs the leading vertex power, and reduce again; keep the
+    rotation only if the seam pair contracted.  A leftover leading power is
+    finally conjugated onto the last exponent.
     """
-    if not f.is_closed:
+    h, g = to_ref(f)
+    if ref.end_vertex(h, g) != h.base:
         raise WordError("cyclic reduction needs a closed factorization")
-    g = f.graph
-    h = britton_reduce_naive(f)
+    h = ref.naive_reduce(h, g)
     z: list[Letter] = []
     while h.n >= 2:
         name, k = h.steps[-1]
-        src = g.by_name[name].src
-        front = GFactorization(g, src, 0, ((name, k + h.k0),) + h.steps[:-1])
-        rotated = britton_reduce_naive(front)
+        e = g.edge[name]
+        rotated = ref.naive_reduce(ref.Word(e.src, 0, ((name, k + h.k0),) + h.steps[:-1]), g)
         if rotated.n == h.n:
             break
-        z[:0] = letters(GFactorization(g, src, 0, ((name, k),)))
+        z[:0] = (EdgeLetter(name), VertexPower(e.dst, k)) if k else (EdgeLetter(name),)
         h = rotated
     if h.n == 0:
         return h, tuple(z)
@@ -298,35 +290,7 @@ def cyclically_reduce_naive(f: GFactorization) -> tuple[GFactorization, tuple[Le
     (name, k), rest = h.steps[-1], h.steps[:-1]
     if c:
         z.insert(0, VertexPower(h.base, -c))
-    return GFactorization(g, h.base, 0, rest + ((name, k + c),)), tuple(z)
-
-
-def _inverse(word: Sequence[Letter], graph: GbsGraph) -> tuple[Letter, ...]:
-    """The letters reversed, each edge replaced by its inverse and each
-    power negated."""
-    return tuple(
-        VertexPower(x.vertex, -x.exp) if isinstance(x, VertexPower)
-        else EdgeLetter(graph.by_name[x.edge].inv)
-        for x in reversed(word)
-    )
-
-
-def replays_to_identity(z: GFactorization, v: GFactorization, w: GFactorization) -> bool:
-    """Whether ``z v z^-1 w^-1`` joins into a closed word that the rewriting
-    oracle reduces to the empty word with exponent zero.  The inverses are
-    taken letter by letter, each opened by a zero power at its own base,
-    the end of the word it inverts, so that every seam is checked."""
-    g = z.graph
-    parts = [
-        (z.base, letters(z)), (v.base, letters(v)),
-        (z.end, _inverse(letters(z), g)), (w.end, _inverse(letters(w), g)),
-    ]
-    try:
-        f = to_factorization([x for base, word in parts for x in (VertexPower(base, 0), *word)], g)
-    except WordError:
-        return False
-    h = britton_reduce_naive(f)
-    return f.is_closed and h.n == 0 and h.k0 == 0
+    return ref.Word(h.base, 0, rest + ((name, k + c),)), tuple(z)
 
 
 def elliptic_closure(
@@ -369,91 +333,22 @@ def elliptic_closure(
     return parents, capped
 
 
-def _chain_letters(parents, goal) -> tuple[Letter, ...]:
-    chain: list[Letter] = []
-    state = goal
-    while parents[state] is not None:
-        state, name = parents[state]
-        chain.append(EdgeLetter(name))
-    return tuple(chain)
-
-
-def conj_brute_status(
-    v: GFactorization, w: GFactorization, radius: int
-) -> tuple[ConjVerdict, Optional[GFactorization]]:
-    """Search-only conjugacy oracle.
-
-    Elliptic pairs: breadth-first chain search over (vertex, exponent)
-    states; an exhausted closure below the radius is a definitive no.
-    Hyperbolic pairs: scan every rotation and every conjugating power with
-    |x| <= radius; only a found witness decides.  Everything else is
-    UNKNOWN.  Witnesses are replayed before being returned.
-    """
-    graph = v.graph
-
-    def witness(word: Sequence[Letter]) -> Optional[GFactorization]:
-        try:
-            z = to_factorization((VertexPower(w.base, 0), *word), graph)
-        except WordError:
-            return None
-        return z if replays_to_identity(z, v, w) else None
-
-    vh, zv = cyclically_reduce_naive(v)
-    wh, zw = cyclically_reduce_naive(w)
-    zw_inv = _inverse(zw, graph)
-
-    if vh.n == 0 and wh.n == 0:
-        parents, capped = elliptic_closure(graph, vh.base, vh.k0, radius)
-        goal = (wh.base, wh.k0)
-        if goal in parents:
-            z = witness(zw_inv + _chain_letters(parents, goal) + zv)
-            return (ConjVerdict.UNKNOWN, None) if z is None else (ConjVerdict.CONJUGATE, z)
-        return (ConjVerdict.UNKNOWN if capped else ConjVerdict.NOT_CONJUGATE), None
-
-    if vh.n == 0 or wh.n == 0 or vh.n != wh.n:
-        return ConjVerdict.UNKNOWN, None
-
-    n = vh.n
-    ks = [k for _, k in vh.steps]
-    alpha = [graph.by_name[name].alpha for name, _ in vh.steps]
-    beta = [graph.by_name[name].beta for name, _ in vh.steps]
-    path = [name for name, _ in vh.steps]
-    for r in range(n):
-        steps = wh.steps[r:] + wh.steps[:r]  # the rotation zr wh zr^-1
-        if [name for name, _ in steps] != path:
-            continue
-        zr = letters(GFactorization(graph, graph.by_name[steps[0][0]].src, 0, wh.steps[r:]))
-        ls = [k for _, k in steps]
-
-        def works(x: int) -> bool:
-            cur = ks[n - 1] - x - ls[n - 1]
-            for i in range(n - 1, -1, -1):
-                if cur % beta[i]:
-                    return False
-                t = alpha[i] * (cur // beta[i])
-                if i == 0:
-                    return x + t == 0
-                cur = ks[i - 1] - ls[i - 1] + t
-            return False
-
-        step = abs(beta[n - 1])
-        first = -radius + (ks[n - 1] - ls[n - 1] + radius) % step
-        for x in range(first, radius + 1, step):
-            if not works(x):
-                continue
-            middle = (VertexPower(vh.base, x),) if x else ()
-            z = witness(zw_inv + _inverse(zr, graph) + middle + zv)
-            if z is not None:
-                return ConjVerdict.CONJUGATE, z
-    return ConjVerdict.UNKNOWN, None
-
-
-def conj_brute(
-    v: GFactorization, w: GFactorization, radius: int
-) -> Optional[GFactorization]:
-    """A replayed conjugator found by brute search, or None (inconclusive)."""
-    verdict, witness = conj_brute_status(v, w, radius)
-    return witness if verdict is ConjVerdict.CONJUGATE else None
+def conjugacy_reference(v: GFactorization, w: GFactorization, radius: int) -> Optional[bool]:
+    """Whether v and w are conjugate, by the reference's ``words_conjugate``.
+    Where that refuses an elliptic orbit too large to list, a chain search
+    (:func:`elliptic_closure`) within the radius decides instead: a hit is a
+    yes, an orbit exhausted inside the radius a no, and anything else None."""
+    *words, g = to_ref(v, w)
+    try:
+        return ref.words_conjugate(*words, g)
+    except ref.OracleError:
+        vh, wh = (ref.cyclic_reduce(x, g) for x in words)
+        if vh.n or wh.n:
+            raise
+        parents, capped = elliptic_closure(v.graph, vh.base, vh.k0, radius)
+        if (wh.base, wh.k0) in parents:
+            return True
+        return None if capped else False
 
 
 def _power_match(c1: int, m1: int, c2: int, m2: int) -> bool:

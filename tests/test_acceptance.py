@@ -3,7 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the per-criterion
 report.  The corpora are seeded and sized as stated in each test; the suite
 is self-contained and compares every fast path against an independent
-brute-force oracle from ``tests/oracles.py``.
+reference: the benchmark's oracle, loaded by ``tests/oracles.py``, or the
+chain search and closed formula kept there.
 """
 import random
 import time
@@ -24,7 +25,6 @@ from gbs.britton import (
 from gbs.conjugacy import (
     ConjVerdict,
     conj_elliptic,
-    conj_hyperbolic,
     conjugate,
     verify_conjugator,
 )
@@ -52,14 +52,14 @@ from gbs.monoid import (
 import gen
 from conftest import EXAMPLE_WORD, LATTICE_NEGATIVE, keeps_its_decision, without_the_lattice_test
 from oracles import (
-    britton_reduce_naive,
-    conj_brute_status,
     conj_elliptic_bs,
+    conjugacy_reference,
     cyclically_reduce_naive,
     elliptic_closure,
-    is_britton_reduced,
     letters,
     parse_word,
+    ref,
+    to_ref,
     to_factorization,
 )
 
@@ -93,8 +93,8 @@ def test_criterion_1_worked_example_regression(bs23):
     assert word_problem(f) is False
     fast = britton_reduce_fast(f)
     assert fast == GFactorization(bs23, "a", 15, ())
-    naive = britton_reduce_naive(f)
-    assert naive == fast
+    word, out, g = to_ref(f, fast)
+    assert ref.naive_reduce(word, g) == out
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(1, f"worked example: coloring, verdicts, reduction to a^15 in {elapsed:.3f}s")
@@ -104,8 +104,7 @@ def test_criterion_2_word_problem_oracle_equivalence(wp_corpus):
     t0 = time.perf_counter()
     agree = paper_agree = 0
     for f in wp_corpus:
-        naive = britton_reduce_naive(f)
-        trivial = naive.n == 0 and naive.k0 == 0
+        trivial = ref.is_trivial(*to_ref(f))
         if word_problem(f) == trivial:
             agree += 1
         # the paper's reduction: zero total exponent and a colour word that
@@ -126,10 +125,9 @@ def test_criterion_2_word_problem_oracle_equivalence(wp_corpus):
 def test_criterion_3_britton_reduction_equivalence(wp_corpus):
     agree = 0
     for f in wp_corpus:
-        fast = britton_reduce_fast(f)
-        naive = britton_reduce_naive(f)
-        assert is_britton_reduced(fast)
-        if word_problem(concat(fast, invert(naive))):
+        word, fast, g = to_ref(f, britton_reduce_fast(f))
+        assert ref.is_britton_reduced(fast, g)
+        if ref.is_trivial(ref.concat(g, fast, ref.invert(ref.naive_reduce(word, g), g)), g):
             agree += 1
     assert agree == len(wp_corpus)
     report(3, f"fast reduction Britton-reduced and oracle-equal: {agree}/10000")
@@ -139,7 +137,7 @@ def test_cyclic_reduction_equals_oracle(wp_corpus):
     # byte for byte: the cyclically reduced form and the conjugator letters
     for f in wp_corpus:
         out, z = cyclically_reduce_with_conjugator(f)
-        assert (out, letters(z)) == cyclically_reduce_naive(f), str(f)
+        assert (to_ref(out)[0], letters(z)) == cyclically_reduce_naive(f), str(f)
 
 
 def test_criterion_4_free_reduction_equivalence():
@@ -171,7 +169,6 @@ def _random_cyc_reduced_hyperbolic(rng, graph, max_len=10, max_exp=6, tries=200)
 
 def test_criterion_5_hyperbolic_conjugacy():
     rng = random.Random(0x5EED)
-    radius = 1000
     pairs = []
     while len(pairs) < 2000:
         g = gen.random_graph(rng)
@@ -187,30 +184,19 @@ def test_criterion_5_hyperbolic_conjugacy():
         w = gen.conjugated_word(rng, g, v)
         pairs.append((v, w, True))
 
-    checked_brute = 0
+    confirmed = 0
     for v, w, constructed in pairs:
         res = conjugate(v, w)
         if constructed:
             assert res.verdict is ConjVerdict.CONJUGATE
             assert verify_conjugator(res.witness, v, w)
-        brute_verdict, _ = conj_brute_status(v, w, radius)
-        if brute_verdict is ConjVerdict.CONJUGATE:
-            checked_brute += 1
-            assert res.verdict is ConjVerdict.CONJUGATE
-        if res.verdict is ConjVerdict.CONJUGATE:
-            # when a conjugating power within the radius exists, brute force
-            # must rediscover the pair
-            vh, _ = cyclically_reduce_with_conjugator(v)
-            wh, _ = cyclically_reduce_with_conjugator(w)
-            if vh.n and wh.n:
-                found = conj_hyperbolic(vh, wh)
-                if found is not None and abs(found[1]) <= radius:
-                    assert brute_verdict is ConjVerdict.CONJUGATE
-        else:
-            assert brute_verdict is not ConjVerdict.CONJUGATE
-    assert checked_brute > 500
-    report(5, f"4000 hyperbolic pairs, solver vs brute radius {radius}: "
-              f"no disagreement ({checked_brute} brute-confirmed)")
+        # the reference decides every hyperbolic pair exactly
+        expected = ref.words_conjugate(*to_ref(v, w))
+        assert res.verdict is (ConjVerdict.CONJUGATE if expected else ConjVerdict.NOT_CONJUGATE)
+        confirmed += expected
+    assert confirmed > 500
+    report(5, f"4000 hyperbolic pairs, solver vs the exact reference: "
+              f"no disagreement ({confirmed} confirmed conjugate)")
 
 
 def test_criterion_6_elliptic_bs_cross_check():
@@ -312,24 +298,21 @@ def test_criterion_8_monoid_gbs_round_trips():
         )
     assert both_decided == 200
 
-    brute_decided = 0
+    decided = 0
     for g, a, k, b, ell in powers:
         res = conj_elliptic(a, k, b, ell, g)
         va = GFactorization(g, a, k, ())
         wb = GFactorization(g, b, ell, ())
-        verdict, _ = conj_brute_status(va, wb, radius=50_000)
-        if verdict is ConjVerdict.UNKNOWN:
+        expected = conjugacy_reference(va, wb, radius=50_000)
+        if expected is None:
             continue
-        brute_decided += 1
-        if verdict is ConjVerdict.CONJUGATE:
-            assert res.verdict is not ConjVerdict.NOT_CONJUGATE
-            if res.verdict is ConjVerdict.CONJUGATE:
-                assert verify_conjugator(res.witness, va, wb)
-        else:
-            assert res.verdict is not ConjVerdict.CONJUGATE
-    assert brute_decided > 100
+        decided += 1
+        assert res.verdict is (ConjVerdict.CONJUGATE if expected else ConjVerdict.NOT_CONJUGATE)
+        if expected:
+            assert verify_conjugator(res.witness, va, wb)
+    assert decided > 100
     report(8, f"round trips: {both_decided} presentation/graph pairs and "
-              f"{brute_decided} elliptic pairs agree with the oracles")
+              f"{decided} elliptic pairs agree with the oracles")
 
 
 def test_criterion_8_corpora_keep_their_decisions_without_the_lattice_test(monkeypatch):

@@ -25,7 +25,7 @@ from gbs.graphs import (
 )
 import gen
 from conftest import fact
-from oracles import britton_reduce_naive, is_britton_reduced, replays_to_identity
+from oracles import ref, to_ref
 
 
 def test_k_interval_examples(example_fact):
@@ -178,7 +178,9 @@ def test_fast_reduce_open_paths(amalgam):
     # t runs a -> b, so "t b^3 T t" is an open path ending at b
     f = fact(amalgam, "t b^3 T t")
     out = britton_reduce_fast(f)
-    assert out == britton_reduce_naive(f) == fact(amalgam, "a^2 t")
+    assert out == fact(amalgam, "a^2 t")
+    word, want, g = to_ref(f, out)
+    assert ref.naive_reduce(word, g) == want
     assert not out.is_closed
 
 
@@ -237,16 +239,14 @@ def test_vertex_group_exponent(example_fact):
 
 
 def test_naive_reduce_examples(bs23):
-    assert britton_reduce_naive(fact(bs23, "y a^2 Y")) == fact(bs23, "a^3")
-    assert britton_reduce_naive(fact(bs23, "Y a^3 y")) == fact(bs23, "a^2")
-    f = fact(bs23, "y a Y")
-    assert britton_reduce_naive(f) == f
+    for text, reduced in (("y a^2 Y", "a^3"), ("Y a^3 y", "a^2"), ("y a Y", "y a Y")):
+        word, want, g = to_ref(fact(bs23, text), fact(bs23, reduced))
+        assert ref.naive_reduce(word, g) == want
 
 
 def test_is_britton_reduced(bs23):
-    assert is_britton_reduced(fact(bs23, "y a Y"))
-    assert not is_britton_reduced(fact(bs23, "y a^2 Y"))
-    assert is_britton_reduced(fact(bs23, "1"))
+    for text, reduced in (("y a Y", True), ("y a^2 Y", False), ("1", True)):
+        assert ref.is_britton_reduced(*to_ref(fact(bs23, text))) is reduced
 
 
 def test_fast_reduce_examples(bs23, example_fact):
@@ -265,12 +265,12 @@ def test_reductions_agree_on_random_corpus():
     for _ in range(400):
         g = gen.random_graph(rng)
         f = gen.random_closed_factorization(rng, g)
-        naive = britton_reduce_naive(f)
         fast = britton_reduce_fast(f)
-        assert fast == naive
-        assert is_britton_reduced(fast)
-        assert word_problem(concat(fast, invert(naive)))
-        assert word_problem(f) == (naive.n == 0 and naive.k0 == 0)
+        word, out, G = to_ref(f, fast)
+        assert out == ref.naive_reduce(word, G)
+        assert ref.is_britton_reduced(out, G)
+        assert word_problem(concat(fast, invert(fast)))
+        assert word_problem(f) == ref.is_trivial(word, G)
         assert fast.n <= f.n
         assert _bits(fast) <= 8 * _bits(f) + 16
 
@@ -304,8 +304,9 @@ def _long_words():
 
 @pytest.mark.parametrize("f, trivial, cyclic", _long_words())
 def test_stack_reducer_on_long_words(f, trivial, cyclic):
-    naive = britton_reduce_naive(f)
-    assert britton_reduce_fast(f) == naive
+    word, fast, g = to_ref(f, britton_reduce_fast(f))
+    naive = ref.naive_reduce(word, g)
+    assert fast == naive
     assert (naive.n == 0 and naive.k0 == 0) is trivial
     assert word_problem(f) is trivial
     if cyclic is not None:
@@ -320,7 +321,8 @@ def test_cyclically_reduce_examples(bs23):
     f = fact(bs23, "Y a y a^3")
     out = cyclically_reduce(f)
     assert out.n == 2
-    assert is_britton_reduced(concat(out, out))
+    word, g = to_ref(out)
+    assert ref.is_britton_reduced(ref.concat(g, word, word), g)
 
 
 def test_cyclically_reduce_rejects_open_words(amalgam):
@@ -334,9 +336,13 @@ def test_cyclic_reduction_output_and_conjugator():
         g = gen.random_graph(rng)
         f = gen.random_closed_factorization(rng, g, max_len=10, max_exp=5)
         out, z = cyclically_reduce_with_conjugator(f)
+        Z, F, OUT, G = to_ref(z, f, out)
         if out.n:
             assert out.k0 == 0
-            assert is_britton_reduced(concat(out, out))
-        # out equals z f z^-1, for z from out's base to f's
+            assert ref.is_britton_reduced(ref.concat(G, OUT, OUT), G)
+        # out equals z f z^-1, for z from out's base to f's: each seam of
+        # the replay meets, the whole word closes, and it reduces to nothing
         assert (z.base, z.end) == (out.base, f.base)
-        assert replays_to_identity(z, f, out)
+        parts = (Z, F, ref.invert(Z, G), ref.invert(OUT, G))
+        assert all(ref.end_vertex(p, G) == q.base for p, q in zip(parts, parts[1:] + parts[:1]))
+        assert ref.is_trivial(ref.concat(G, *parts), G)

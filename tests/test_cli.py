@@ -12,7 +12,7 @@ import pytest
 from gbs import britton, cli, graphs
 from gbs.cli import main
 from conftest import AMALGAM, BS23, EXAMPLE_WORD
-from oracles import replays_to_identity
+from oracles import ref, to_ref
 
 
 @pytest.fixture
@@ -181,7 +181,11 @@ def test_conj_identities_at_different_vertices(capsys, tmp_path):
     z = graphs.parse_factorization(conj_witness(out, g), g)
     v, w = (graphs.parse_factorization(t, g) for t in (v, w))
     assert (z.base, z.end) == (w.base, v.base) == ("c", "d")
-    assert replays_to_identity(z, v, w)
+    # z v z^-1 w^-1: each seam meets, the word closes and reduces to nothing
+    Z, V, W, G = to_ref(z, v, w)
+    parts = (Z, V, ref.invert(Z, G), ref.invert(W, G))
+    assert all(ref.end_vertex(p, G) == q.base for p, q in zip(parts, parts[1:] + parts[:1]))
+    assert ref.is_trivial(ref.concat(G, *parts), G)
 
 
 def test_conj_no(capsys, bs_path):
@@ -199,7 +203,9 @@ def test_conj_no_on_a_long_proper_power(capsys, tmp_path):
 
 def test_conj_unknown_exit_code(capsys, tmp_path):
     # a^6 and a^2 are not conjugate: every move keeps the 3-adic valuation
-    # at least 1.  A cap below every critical pair leaves it undecided.
+    # at least 1.  A cap below every critical pair leaves the completion
+    # short, but no move from a^2 ever puts a 3 in, so the support check
+    # still decides the pair
     p = tmp_path / "g.graph"
     p.write_text(
         "vertex a\n"
@@ -209,6 +215,17 @@ def test_conj_unknown_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "conj", "--literal", str(p), "a^6", "a^2")
     assert code == 1 and out.strip() == "not-conjugate"
     code, out, _ = run(capsys, "conj", "--literal", str(p), "a^6", "a^2", "--bound", "1")
+    assert code == 1 and out.strip() == "not-conjugate"
+    # a and a^4 are conjugate, by Z y Z Y, so no sound check closes the
+    # pair that the cap leaves open: it stays unknown
+    p.write_text(
+        "vertex a\n"
+        "edge y a a 1 6 Y\nedge Y a a 6 1 y\n"
+        "edge z a a 2 4 Z\nedge Z a a 4 2 z\n"
+    )
+    code, out, _ = run(capsys, "conj", "--literal", "--witness", str(p), "a^1", "a^4")
+    assert code == 0 and conj_witness(out, graphs.parse_graph(p.read_text())) == "Z y Z Y"
+    code, out, _ = run(capsys, "conj", "--literal", str(p), "a^1", "a^4", "--bound", "1")
     assert code == 2 and out.strip() == "unknown"
 
 
@@ -387,7 +404,10 @@ def test_elliptic_conj_on_a_product_of_two_40_digit_primes(capsys, tmp_path):
     g = graphs.parse_graph(p.read_text())
     witness = conj_witness(out, g)
     v, w = (graphs.parse_factorization(t, g) for t in ("a^4", f"a^{n * n}"))
-    assert replays_to_identity(graphs.parse_factorization(witness, g), v, w)
+    Z, V, W, G = to_ref(graphs.parse_factorization(witness, g), v, w)
+    parts = (Z, V, ref.invert(Z, G), ref.invert(W, G))
+    assert all(ref.end_vertex(p, G) == q.base for p, q in zip(parts, parts[1:] + parts[:1]))
+    assert ref.is_trivial(ref.concat(G, *parts), G)
     code, out, err = run(capsys, "conj", "--literal", "--witness", str(p), "a^4", f"a^{n}")
     assert code == 1 and err == "" and out.strip() == "not-conjugate"
 
@@ -707,19 +727,30 @@ WP = ["wp", "--literal", "{graph}", "y a^2 Y a^-3"]
     (DEV, WP, "trivial\n"),
     # two vertices, whose completion keeps a rule table per vertex
     (DEV, ["conj", "--literal", "--witness", "{two}", "a^4", "b^6"], "conjugate\nY\n"),
+    # capped completions: the support check decides the first pair, and
+    # the second, conjugate by Z y Z Y, stays open
+    (DEV, ["conj", "--literal", "{decided}", "a^6", "a^2", "--bound", "1"], "not-conjugate\n"),
+    (DEV, ["conj", "--literal", "{open}", "a^1", "a^4", "--bound", "1"], "unknown\n"),
 ], ids=[
     "O-conj-witness", "O-wp", "OO-help", "OO-conj-witness", "dev-conj-witness", "dev-wp",
-    "dev-two-vertex-conj-witness",
+    "dev-two-vertex-conj-witness", "dev-capped-decided", "dev-capped-open",
 ])
 def test_the_program_runs_under_python_O(bs_path, tmp_path, flags, argv, out):
-    two = tmp_path / "two.graph"
-    two.write_text("vertex a\nvertex b\nedge y a b 2 3 Y\nedge Y b a 3 2 y\n")
+    graphs = {
+        "two": "vertex a\nvertex b\nedge y a b 2 3 Y\nedge Y b a 3 2 y\n",
+        "decided": "vertex a\nedge y a a 4 2 Y\nedge Y a a 2 4 y\nedge z a a 9 3 Z\nedge Z a a 3 9 z\n",
+        "open": "vertex a\nedge y a a 1 6 Y\nedge Y a a 6 1 y\nedge z a a 2 4 Z\nedge Z a a 4 2 z\n",
+    }
+    for name, text in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(text)
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [a.format(graph=bs_path, two=two) for a in argv]
+    argv = [a.format(graph=bs_path, **{name: tmp_path / f"{name}.graph" for name in graphs}) for a in argv]
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "gbs", *argv], env=env, capture_output=True, text=True
     )
     # of the help, its first line: the usage
     got = proc.stdout.partition("\n")[0] if argv == ["--help"] else proc.stdout
-    assert (proc.returncode, got, proc.stderr) == (0, out, "")
+    # the exit code of conj: 0 conjugate, 1 not conjugate, 2 unknown
+    code = {"not-conjugate\n": 1, "unknown\n": 2}.get(out, 0)
+    assert (proc.returncode, got, proc.stderr) == (code, out, "")

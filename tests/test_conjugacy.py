@@ -25,7 +25,7 @@ from gbs.graphs import (
 )
 import gen
 from conftest import fact
-from oracles import conj_brute, conj_brute_status, conj_elliptic_bs, elliptic_closure
+from oracles import conj_elliptic_bs, conjugacy_reference, elliptic_closure, ref, to_ref
 
 
 def test_conjugate_hyperbolic_example(bs23):
@@ -96,12 +96,12 @@ def test_conj_hyperbolic_congruence_branch():
     res = conjugate(v, w_yes)
     assert res.verdict is ConjVerdict.CONJUGATE
     assert verify_conjugator(res.witness, v, w_yes)
-    assert conj_brute(v, w_yes, 50) is not None
+    assert ref.words_conjugate(*to_ref(v, w_yes)) is True
     # closing identity holds but the congruences have no common solution
     w_no = fact(g, "y z a^2")
     res = conjugate(v, w_no)
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
-    assert conj_brute(v, w_no, 300) is None
+    assert ref.words_conjugate(*to_ref(v, w_no)) is False
 
 
 def _rotation_paths(rng):
@@ -267,7 +267,7 @@ def _every_rotation(v, w):
 def test_conj_hyperbolic_matches_the_per_rotation_loop_on_periodic_corpora():
     rng = random.Random(1618)
     pairs = _periodic_pairs(rng)
-    seen = {"hit": 0, "rotated": 0, "powered": 0, "miss": 0, "skipped": 0, "brute": 0}
+    seen = {"hit": 0, "rotated": 0, "powered": 0, "miss": 0, "skipped": 0, "reference": 0}
     for _ in range(1500):
         v, w = next(pairs)
         found = conj_hyperbolic(v, w)
@@ -280,12 +280,8 @@ def test_conj_hyperbolic_matches_the_per_rotation_loop_on_periodic_corpora():
             seen["rotated"] += found[0] > 0
             seen["powered"] += found[1] != 0
         if v.n <= 8:
-            verdict, _ = conj_brute_status(v, w, 60)
-            if found is None:
-                assert verdict is not ConjVerdict.CONJUGATE, (str(v), str(w))
-            elif abs(found[1]) <= 60:
-                assert verdict is ConjVerdict.CONJUGATE, (str(v), str(w))
-            seen["brute"] += 1
+            assert ref.words_conjugate(*to_ref(v, w)) is (found is not None), (str(v), str(w))
+            seen["reference"] += 1
     assert min(seen.values()) > 100, seen
 
 
@@ -472,22 +468,20 @@ def test_conj_elliptic_across_vertices(amalgam):
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
 
 
-def test_conj_brute_examples(bs23):
-    w = conj_brute(fact(bs23, "y a"), fact(bs23, "y"), 10)
-    assert w is not None
-    assert verify_conjugator(w, fact(bs23, "y a"), fact(bs23, "y"))
-    w = conj_brute(fact(bs23, "a^4"), fact(bs23, "a^9"), 100)
-    assert str(w) == "y y"
-    assert conj_brute(fact(bs23, "a"), fact(bs23, "a^2"), 10**6) is None
-    verdict, _ = conj_brute_status(fact(bs23, "a"), fact(bs23, "a^2"), 10**6)
-    assert verdict is ConjVerdict.NOT_CONJUGATE
+def test_conjugate_examples_against_the_reference(bs23):
+    for v, w, expected in (("y a", "y", True), ("a^4", "a^9", True), ("a", "a^2", False)):
+        v, w = fact(bs23, v), fact(bs23, w)
+        assert ref.words_conjugate(*to_ref(v, w)) is expected
+        res = conjugate(v, w)
+        assert res.verdict is (ConjVerdict.CONJUGATE if expected else ConjVerdict.NOT_CONJUGATE)
+        if expected:
+            assert verify_conjugator(res.witness, v, w)
 
 
 def test_mixed_types_not_conjugate(bs23):
     res = conjugate(fact(bs23, "a^2"), fact(bs23, "y a Y a"))
     assert res.verdict is ConjVerdict.NOT_CONJUGATE
-    verdict, _ = conj_brute_status(fact(bs23, "a^2"), fact(bs23, "y a Y a"), 50)
-    assert verdict is ConjVerdict.UNKNOWN  # brute does not reason about shapes
+    assert ref.words_conjugate(*to_ref(fact(bs23, "a^2"), fact(bs23, "y a Y a"))) is False
 
 
 def _decided(v):
@@ -531,13 +525,9 @@ def test_solver_agrees_with_brute_on_random_corpus():
         v = gen.random_closed_factorization(rng, g, max_len=7, max_exp=4)
         w = gen.random_closed_factorization(rng, g, max_len=7, max_exp=4)
         res = conjugate(v, w)
-        verdict, witness = conj_brute_status(v, w, 200)
-        if verdict is ConjVerdict.CONJUGATE:
-            assert res.verdict is ConjVerdict.CONJUGATE
-        if verdict is ConjVerdict.NOT_CONJUGATE:
-            assert res.verdict is not ConjVerdict.CONJUGATE
-        if res.verdict is ConjVerdict.NOT_CONJUGATE:
-            assert verdict is not ConjVerdict.CONJUGATE
+        expected = conjugacy_reference(v, w, 200)
+        if expected is not None:
+            assert res.verdict is (ConjVerdict.CONJUGATE if expected else ConjVerdict.NOT_CONJUGATE)
 
 
 def test_conj_elliptic_constructed_chains():
@@ -643,11 +633,9 @@ def test_one_loop_hyperbolic_sweep():
         assert verify_conjugator(res.witness, v, w)
         u = gen.random_closed_factorization(rng, g, max_len=8, max_exp=5)
         res = conjugate(v, u)
-        verdict, _ = conj_brute_status(v, u, 500)
-        if verdict is ConjVerdict.CONJUGATE:
-            assert res.verdict is ConjVerdict.CONJUGATE
-        if res.verdict is ConjVerdict.NOT_CONJUGATE:
-            assert verdict is not ConjVerdict.CONJUGATE
+        expected = conjugacy_reference(v, u, 500)
+        if expected is not None:
+            assert res.verdict is (ConjVerdict.CONJUGATE if expected else ConjVerdict.NOT_CONJUGATE)
 
 
 def test_constructed_pairs_always_conjugate():

@@ -98,3 +98,25 @@ def test_verdicts_that_were_unknown():
     enc = gbs_to_monoid(graph)
     e, f = enc.split("a", k)[1], enc.split("a", ell)[1]
     assert _check(enc.presentation, Ideal(enc.presentation), e, f) is Verdict.NOT_CONGRUENT
+
+
+def test_pairs_decided_by_their_support_are_outside_the_ideal():
+    # on small encodings, every pair that a capped completion leaves to the
+    # support check, and that the check decides, is not congruent
+    rng = random.Random(0x6D)
+    decided = 0
+    for _ in range(200):
+        graph = gen.random_graph(rng, 3, 4, 6)
+        enc = gbs_to_monoid(graph)
+        ideal = None
+        for _ in range(5):
+            a, b = rng.choice(graph.vertices), rng.choice(graph.vertices)
+            (ra, e), (rb, f) = enc.split(a, gen.label_power(rng, graph)), enc.split(b, gen.label_power(rng, graph))
+            if ra != rb:
+                continue
+            for bound in (2, 1, 0):
+                if congruent(e, f, enc.presentation, bound).reason == "support out of reach":
+                    ideal = ideal or Ideal(enc.presentation)
+                    assert not ideal.congruent(e, f), (graph, e, f, bound)
+                    decided += 1
+    assert decided > 40, decided

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gbs import monoid
-from gbs.conjugacy import ConjVerdict, conjugate
+from gbs.conjugacy import ConjVerdict, conj_elliptic, conjugate
 from gbs.graphs import GbsError, GFactorization, InternalError
 from gbs.monoid import (
     CongResult,
@@ -31,8 +31,10 @@ def test_congruent_single_application():
 
 
 def test_congruent_exhausted_closure():
-    res = congruent((0, 0), (1, 0), SWAP)
-    assert res.verdict is Verdict.NOT_CONGRUENT
+    # no relation side fits (0, 0), which is alone in its class at any bound
+    for bound in (None, 0):
+        res = congruent((0, 0), (1, 0), SWAP, bound)
+        assert (res.verdict, res.reason) == (Verdict.NOT_CONGRUENT, "no relation applies")
 
 
 def test_a_path_that_does_not_replay_is_an_internal_error(monkeypatch):
@@ -70,7 +72,7 @@ def test_one_sided_exhaustion_decides():
     # from (0, 0) nothing moves, so the no-verdict needs only that side
     pres = MonPresentation(2, (((1, 0), (2, 0)),))
     res = congruent((1, 0), (0, 0), pres, bound=40)
-    assert res.verdict is Verdict.NOT_CONGRUENT
+    assert (res.verdict, res.reason) == (Verdict.NOT_CONGRUENT, "no relation applies")
 
 
 # y^2 ~ 1 and xy ~ 1 make y ~ x, but only through the critical pair of the
@@ -116,6 +118,40 @@ def test_bounded_verdicts_agree_with_the_unbounded_one():
                 assert verdict is truth, (pres, e, f, bound)
                 decided += 1
     assert decided > 8000
+
+
+def test_capped_pairs_whose_support_is_out_of_reach_are_not_congruent():
+    # a capped completion that stops short leaves the pair to the support
+    # check: on the label-built corpus each pair that it decides is not
+    # conjugate by the uncapped completion, and every other capped answer
+    # is the uncapped one or unknown
+    decided = 0
+    for g, a, k, b, ell in gen.label_built_queries(random.Random(10), 60):
+        truth = conj_elliptic(a, k, b, ell, g).verdict
+        for bound in (2, 1, 0):
+            res = conj_elliptic(a, k, b, ell, g, bound)
+            if res.reason == "support out of reach":
+                assert truth is ConjVerdict.NOT_CONJUGATE, (g, a, k, b, ell, bound)
+                decided += 1
+            elif res.verdict is not ConjVerdict.UNKNOWN:
+                assert res.verdict is truth, (g, a, k, b, ell, bound)
+    assert decided > 60, decided
+
+
+def test_a_capped_pair_is_decided_by_the_coordinates_each_side_reaches():
+    # x^2 ~ x, x y ~ x and z^2 ~ z: the one critical pair, of x^2 and x y,
+    # has the lcm x^2 y, above bound 1.  x y never reaches z, and x z never
+    # loses it, so the pair is decided at bound 1 in either order, as the
+    # uncapped completion decides it
+    pres = MonPresentation(3, (((2, 0, 0), (1, 0, 0)), ((1, 1, 0), (1, 0, 0)), ((0, 0, 2), (0, 0, 1))))
+    assert monoid._reach((1, 1, 0), pres) == 0b011
+    assert monoid._reach((1, 0, 1), pres) == 0b111
+    for e, f in (((1, 1, 0), (1, 0, 1)), ((1, 0, 1), (1, 1, 0))):
+        res = congruent(e, f, pres, bound=1)
+        assert (res.verdict, res.reason) == (Verdict.NOT_CONGRUENT, "support out of reach")
+        assert congruent(e, f, pres).reason == "distinct normal forms"
+    # x y and x^2 are congruent, and the capped completion finds it
+    assert congruent((1, 1, 0), (2, 0, 0), pres, bound=1).verdict is Verdict.CONGRUENT
 
 
 def test_the_lattice_test_keeps_every_decision_of_the_completion(monkeypatch):
