@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
 from . import freegroup
@@ -29,46 +31,23 @@ from .graphs import (
 
 class PrefixRatios:
     """Prefix products of the edge ratios alpha/beta and the derived interval
-    exponents.
+    exponents, all read off one scale table ``scale[i]``, the product of
+    alpha over edges 1..i and of beta over edges i+1..n.
 
-    ``ratio(i)`` is the product of alpha/beta over edges 1..i (1 at i=0), and
-    ``k(i, j)`` the exact rational sum of the slice exponents, each scaled by
-    the ratio product from position i+1 up to it.  All values share one big
-    integer table with a common denominator, so a single subtraction and one
-    division test serve every interval query.
+    ``ratio(i)``, the product of alpha/beta over edges 1..i (1 at i=0), is
+    ``scale[i] / scale[0]``.  ``k(i, j)``, the sum of the slice exponents,
+    each scaled by the ratio product from position i+1 up to it, is a
+    difference of prefix sums of ``exponent[t] * scale[t]``, over ``scale[i]``.
     """
 
     def __init__(self, f: GFactorization):
-        by_name = f.graph.by_name
-        n = f.n
-        alpha = [1] * (n + 1)
-        beta = [1] * (n + 1)
-        for i, (name, _) in enumerate(f.steps, 1):
-            e = by_name[name]
-            alpha[i] = e.alpha
-            beta[i] = e.beta
-        num = [1] * (n + 1)  # prod of alpha, edges 1..i
-        den = [1] * (n + 1)  # prod of beta, edges 1..i
-        for i in range(1, n + 1):
-            num[i] = num[i - 1] * alpha[i]
-            den[i] = den[i - 1] * beta[i]
-        suf = [1] * (n + 1)  # prod of beta, edges i+1..n
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] * beta[i + 1]
-        exps = [f.k0] + [k for _, k in f.steps]
-        acc = 0
-        total = [0] * (n + 1)  # scaled prefix sums over the common denominator
-        for t in range(n + 1):
-            acc += exps[t] * num[t] * suf[t]
-            total[t] = acc
-        self.n = n
-        self.alpha = alpha
-        self.beta = beta
-        self._num = num
-        self._den = den
-        self._suf = suf
-        self._total = total
-        self._scale = [num[i] * suf[i] for i in range(n + 1)]
+        edges = [f.graph.by_name[name] for name, _ in f.steps]
+        self.n = f.n
+        self.alpha = alpha = [1] + [e.alpha for e in edges]
+        self.beta = beta = [1] + [e.beta for e in edges]
+        suffixes = list(accumulate(beta[:0:-1], mul, initial=1))[::-1]
+        self._scale = list(map(mul, accumulate(alpha, mul), suffixes))
+        self._total = list(accumulate(map(mul, [f.k0, *(k for _, k in f.steps)], self._scale)))
 
     def _check(self, i: int, j: int):
         if not 0 <= i <= j <= self.n:
@@ -77,7 +56,7 @@ class PrefixRatios:
     def ratio(self, i: int) -> Fraction:
         """Product of alpha/beta over edges 1..i."""
         self._check(i, i)
-        return Fraction(self._num[i], self._den[i])
+        return Fraction(self._scale[i], self._scale[0])
 
     def k_numerator(self, i: int, j: int) -> int:
         return self._total[j] - (self._total[i - 1] if i else 0)
@@ -238,44 +217,25 @@ def color(f: GFactorization) -> tuple[ColorTable, FWord]:
         parent[rj] = ri
         parity[rj] = pi ^ pj ^ 1
 
-    roots = [0] * (n + 1)
-    sides = [0] * (n + 1)
-    members: dict[int, list[int]] = {}
+    # one pass over the (root, side) keys; a partner met first holds the representative
+    ids: dict[tuple[int, int], int] = {}
+    class_of, classes, inverse, representative, sign = [0], [], [], [], []
     for t in range(1, n + 1):
-        r, p = find(t)
-        roots[t] = r
-        sides[t] = p
-        members.setdefault(r, []).append(t)
-
-    class_ids: dict[tuple[int, int], int] = {}
-    class_of = [0] * (n + 1)
-    classes: list[list[int]] = []
-    for t in range(1, n + 1):
-        key = (roots[t], sides[t])
-        if key not in class_ids:
-            class_ids[key] = len(classes)
+        root, side = key = find(t)
+        c = ids.setdefault(key, len(classes))
+        if c == len(classes):
+            partner = ids.get((root, 1 - side))
             classes.append([])
-        c = class_ids[key]
-        class_of[t] = c
+            inverse.append(partner)
+            if partner is not None:
+                inverse[partner] = c
+            representative.append(t if partner is None else representative[partner])
+            sign.append(1 if partner is None else -1)
+        class_of.append(c)
         classes[c].append(t)
 
-    inverse: list[Optional[int]] = []
-    representative: list[int] = []
-    sign: list[int] = []
-    for (root, side), c in sorted(class_ids.items(), key=lambda kv: kv[1]):
-        partner = class_ids.get((root, 1 - side))
-        inverse.append(partner)
-        rep = members[root][0]
-        representative.append(rep)
-        sign.append(1 if sides[rep] == side else -1)
-
     table = ColorTable(
-        n,
-        tuple(class_of),
-        tuple(tuple(c) for c in classes),
-        tuple(inverse),
-        tuple(representative),
-        tuple(sign),
+        n, tuple(class_of), tuple(map(tuple, classes)), tuple(inverse), tuple(representative), tuple(sign)
     )
     word = tuple(table.letter(t) for t in range(1, n + 1))
     return table, word

@@ -194,24 +194,24 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
     ``eqs`` holds equations ``(u, v, path)``: path leads from u to v in
     steps ``(j, d)`` that apply equation j forwards (d = 1) or backwards
     (d = -1) and name only earlier equations.  The first equations are the
-    relations themselves, with path None.  ``rules`` is the rewriting
-    system, an ordered table ``u: (v - u, j)`` keyed by left side, with u
-    above v in the graded order and equation j proving u = v; the other
-    equations stay only as derivations.  ``tables`` holds the same rules by
-    vertex, in the same order: a vector's vertex is its unit slots
-    ``u[cut:]``, empty without units.  Every vector met here holds one unit,
-    so a rule never fits a vector of another vertex and no critical pair
-    joins two vertices: rewriting, deleting and pairing read one table.  A
-    new rule goes at the end; the rules whose left side it divides are
-    deleted (their equations are resolved again), and the right sides it
-    divides, of any vertex, are rewritten in place in the order of
-    ``rules``.  Rewriting applies the first rule in table order that fits.
-    A critical pair names its two left sides and is resolved, in the order
-    of its lcm, with the right sides the table holds then.  It is skipped
-    when the two left sides share no coordinate (Buchberger's first
-    criterion), or when a coordinate of the lcm exceeds ``bound``.  After
-    each new rule, e and f are rewritten further.  A pair holding more than
-    one unit is refused with :class:`GbsError`.
+    relations themselves, with path None.  ``tables`` is the rewriting
+    system, one ordered table ``u: (v - u, j)`` per vertex, keyed by left
+    side, with u above v in the graded order and equation j proving u = v;
+    the other equations stay only as derivations.  A vector's vertex is its
+    unit slots ``u[cut:]``, empty without units.  Every vector met here holds
+    one unit, so a rule never fits a vector of another vertex and no
+    critical pair joins two vertices: rewriting, deleting and pairing read
+    one table.  A new rule goes at the end of its table; the rules whose
+    left side it divides are deleted (their equations are resolved again),
+    and the right sides it divides, of any vertex, are rewritten in place,
+    the vertex tables read in turn.  Rewriting applies the first rule in
+    table order that fits.  A critical pair names its table and its two
+    left sides, and is resolved, in the order of its lcm, with the right
+    sides the table holds then.  It is skipped when the two left sides share
+    no coordinate (Buchberger's first criterion), or when a coordinate of
+    the lcm exceeds ``bound``.  After each new rule, e and f are rewritten
+    further.  A pair holding more than one unit is refused with
+    :class:`GbsError`.
 
     Returns ``(eqs, steps, capped)``: steps over ``eqs`` lead from e to f,
     or are None when the normal forms stay apart; ``capped`` says whether a
@@ -222,24 +222,24 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
         raise GbsError("the completion takes vectors of at most one unit")
     eqs: list = [(r, s, None) for r, s in pres.relations]
     todo = [(r, s, ((j, 1),)) for j, (r, s) in enumerate(pres.relations)][::-1]
-    # lhs -> (rhs - lhs, equation), and unit slots -> the rules of that vertex
-    rules, tables = {}, defaultdict(dict)
-    # A pair is live while both its left sides are keys; a rewritten right
-    # side keeps its key.  A deleted left side stays divisible by some
-    # rule's left side (a rule is only deleted for one that divides it),
-    # and a new left side is in normal form, so a deleted key never returns.
-    pairs: list = []  # heap of (graded key of the lcm, equation, equation, lhs, lhs)
-    capped: list[tuple[ExpVec, ExpVec]] = []
+    tables = defaultdict(dict)  # unit slots -> {lhs: (rhs - lhs, equation)} of that vertex
+    # A pair is live while both its left sides are keys of its table; a
+    # rewritten right side keeps its key.  A deleted left side stays
+    # divisible by some rule's left side (a rule is only deleted for one
+    # that divides it), and a new left side is in normal form, so a deleted
+    # key never returns.  The lcm key and equations order the heap, never the table.
+    pairs: list = []  # heap of (graded key of the lcm, equation, equation, table, lhs, lhs)
+    capped: list[tuple[dict, ExpVec, ExpVec]] = []
     ends = [(e, []), (f, [])]  # e and f as far as they are rewritten, with the steps taken
 
     while todo or pairs:
         if todo:
             u, v, path = todo.pop()
         else:
-            _, _, _, a, b = heapq.heappop(pairs)
-            if a not in rules or b not in rules:
+            _, _, _, table, a, b = heapq.heappop(pairs)
+            if a not in table or b not in table:
                 continue
-            (da, i), (db, j) = rules[a], rules[b]
+            (da, i), (db, j) = table[a], table[b]
             lcm = tuple(map(max, a, b))
             u, v = tuple(map(add, lcm, da)), tuple(map(add, lcm, db))
             path = ((i, -1), (j, 1))
@@ -254,33 +254,33 @@ def _complete(e: ExpVec, f: ExpVec, pres: MonPresentation, bound: Optional[int])
         eqs.append((u, v, tuple(path)))
         table = tables[u[cut:]]
         for lhs in [lhs for lhs in table if all(map(ge, lhs, u))]:
-            del table[lhs]
-            k = rules.pop(lhs)[1]
+            k = table.pop(lhs)[1]
             todo.append((lhs, eqs[k][1], ((k, 1),)))
-        rules[u] = table[u] = (tuple(map(sub, v, u)), new)
+        table[u] = (tuple(map(sub, v, u)), new)
         top = max(t for t, x in enumerate(u) if x)  # u > v >= 0, so u is not zero
-        for lhs, (_, k) in rules.items():
-            rhs = eqs[k][1]
-            if rhs[top] >= u[top] and all(map(ge, rhs, u)):  # never the new rule: v lies below u
-                rhs, steps = _normal_form(rhs, tables, cut)
-                rules[lhs] = tables[lhs[cut:]][lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
-                eqs.append((lhs, rhs, ((k, 1), *steps)))
+        for rules in list(tables.values()):  # rewriting may add an empty table
+            for lhs, (_, k) in rules.items():
+                rhs = eqs[k][1]
+                if rhs[top] >= u[top] and all(map(ge, rhs, u)):  # never the new rule: v lies below u
+                    rhs, steps = _normal_form(rhs, tables, cut)
+                    rules[lhs] = (tuple(map(sub, rhs, lhs)), len(eqs))
+                    eqs.append((lhs, rhs, ((k, 1), *steps)))
         for lhs, (_, k) in table.items():
             # k == new: u itself; the left sides share a coordinate where x * y > 0
             if k == new or not any(map(mul, lhs, u)):
                 continue
             lcm = tuple(map(max, lhs, u))
             if bound is not None and max(lcm) > bound:
-                capped.append((lhs, u))
+                capped.append((table, lhs, u))
                 continue
-            heapq.heappush(pairs, (_key(lcm), k, new, lhs, u))
+            heapq.heappush(pairs, (_key(lcm), k, new, table, lhs, u))
         for end, (w, steps) in enumerate(ends):
             if all(map(ge, w, u)):  # only the new rule can apply to an end
                 w, more = _normal_form(w, tables, cut)
                 ends[end] = (w, steps + more)
         if ends[0][0] == ends[1][0]:
             return eqs, ends[0][1] + _reverse(ends[1][1]), False
-    return eqs, None, any(a in rules and b in rules for a, b in capped)
+    return eqs, None, any(a in table and b in table for table, a, b in capped)
 
 
 def _support(v: ExpVec) -> int:

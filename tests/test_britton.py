@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gbs import britton
 from gbs.britton import (
     PrefixRatios,
     britton_reduce_fast,
@@ -172,6 +173,14 @@ def test_color_table_tracks_sim_c():
         for i in range(1, f.n + 1):
             rep, sign = word[i - 1]
             assert rep == table.representative[table.class_of[i]]
+
+
+def test_color_refuses_an_odd_cancellation_cycle(bs23, monkeypatch):
+    # sim_c never closes an odd cycle, so each component has two sides; a
+    # relation that did would leave no colouring, and color says so
+    monkeypatch.setattr(britton, "_sim_pairs", lambda f, pr: iter([(1, 2), (2, 3), (1, 3)]))
+    with pytest.raises(AssertionError, match="odd cancellation cycle"):
+        color(fact(bs23, "y Y y Y"))
 
 
 def test_fast_reduce_open_paths(amalgam):

@@ -1,5 +1,7 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from operator import add, ge
 
 import pytest
 
@@ -237,6 +239,34 @@ def test_right_sides_are_rewritten_by_new_rules():
     assert res.path == ((2, 1), (1, 1), (0, -1), (0, -1), (1, 1), (2, -1))
 
 
+def test_every_right_side_is_irreducible_by_the_table_of_its_vertex(monkeypatch):
+    # a new rule rewrites the right sides it divides whatever vertex their
+    # left sides hold, so when the completion stops no right side is
+    # reducible by its own vertex's table; rewriting only the right sides of
+    # the new rule's own vertex passes every other test but breaks this
+    made = []
+
+    def recording(factory):
+        made.append(defaultdict(factory))
+        return made[-1]
+
+    monkeypatch.setattr(monoid, "defaultdict", recording)
+    checked = crossed = 0
+    for g, a, k, b, ell in gen.label_built_queries(random.Random(29), 120):
+        made.clear()
+        conj_elliptic(a, k, b, ell, g)
+        for tables in made:
+            for vertex, rules in tables.items():
+                cut = -len(vertex)
+                for lhs, (delta, _) in rules.items():
+                    rhs = tuple(map(add, lhs, delta))
+                    own = tables.get(rhs[cut:], {})
+                    assert not any(all(map(ge, rhs, other)) for other in own), (lhs, rhs)
+                    checked += 1
+                    crossed += rhs[cut:] != vertex
+    assert checked > 1_000 and crossed > 100, (checked, crossed)
+
+
 def test_parity_is_not_congruent():
     pres = MonPresentation(1, (((2,), (0,)),))
     assert congruent((0,), (1,), pres).verdict is Verdict.NOT_CONGRUENT
@@ -279,6 +309,11 @@ def test_the_completion_refuses_a_pair_holding_more_than_one_unit():
     with pytest.raises(GbsError, match="^the completion takes vectors of at most one unit$"):
         congruent((2, 2), (0, 2), pres)
     assert congruent((2, 1), (0, 1), pres).verdict is Verdict.CONGRUENT
+    # congruent's lattice test answers a pair whose unit counts differ,
+    # but the completion refuses either side alone
+    for e, f in (((2, 2), (0, 1)), ((0, 1), (2, 2))):
+        with pytest.raises(GbsError, match="at most one unit"):
+            monoid._complete(e, f, pres, None)
     enc = gbs_to_monoid(gen.random_graph(random.Random(26), 4, 6, 12))
     pres = enc.presentation
     for r, s in pres.relations:
